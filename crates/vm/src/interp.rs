@@ -339,7 +339,10 @@ pub struct Vm<'m> {
     pub(crate) icache_misses: u64,
     /// Reusable staging buffer for the threaded engine's parallel phi
     /// copies.
-    pub(crate) moves_scratch: Vec<Value>,
+    pub(crate) moves_scratch: Vec<u64>,
+    /// Released threaded-engine frames, reused by later calls so a warm
+    /// call allocates nothing.
+    pub(crate) frame_pool: Vec<Vec<u64>>,
 }
 
 struct Frame {
@@ -480,6 +483,7 @@ impl<'m> Vm<'m> {
             icache_hits: 0,
             icache_misses: 0,
             moves_scratch: Vec::new(),
+            frame_pool: Vec::new(),
         };
         // Typed defaults for statics, then run the static initializers.
         for i in 0..n {
@@ -681,6 +685,15 @@ impl<'m> Vm<'m> {
     /// Returns the trap if execution traps (caught by enclosing
     /// handlers when called from inside `exec`).
     pub fn call(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Option<Value>, Trap> {
+        self.enter_call()?;
+        let r = self.call_inner(fid, args);
+        self.depth -= 1;
+        r
+    }
+
+    /// Counts one guest call against the depth budget; the caller
+    /// decrements `depth` again on every exit path.
+    pub(crate) fn enter_call(&mut self) -> Result<(), Trap> {
         if let Some(max) = self.max_depth {
             if self.depth >= max {
                 return Err(Trap::StackOverflow);
@@ -691,9 +704,7 @@ impl<'m> Vm<'m> {
         }
         self.depth += 1;
         self.peak_depth = self.peak_depth.max(self.depth);
-        let r = self.call_inner(fid, args);
-        self.depth -= 1;
-        r
+        Ok(())
     }
 
     fn call_inner(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Option<Value>, Trap> {

@@ -9,6 +9,14 @@
 //! over a dense op enum (a jump table), instead of the tree-walking
 //! `match` over [`safetsa_core::instr::Instr`] in `interp.rs`.
 //!
+//! Frames are **untagged**: every slot is a `u64` whose meaning the
+//! slot's plane fixes (see [`Kind`] and DESIGN.md "Untagged frames").
+//! Type separation puts each SSA value on one plane, so the opcode
+//! already knows what it reads; the decoder checks each operand's kind
+//! once, and tags are re-attached only where a value leaves the frame
+//! for tagged storage (heap fields, statics, intrinsic arguments, the
+//! result of [`Vm::call`]).
+//!
 //! Three optimizations ride on the decoded form (see DESIGN.md
 //! "Interpreter architecture"):
 //!
@@ -41,11 +49,11 @@ use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
 use safetsa_core::module::FuncId;
 use safetsa_core::primops;
-use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind};
-use safetsa_core::value::{BlockId, Literal};
-use safetsa_rt::heap::Obj;
+use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind, TypeTable};
+use safetsa_core::value::{BlockId, Literal, ValueId};
+use safetsa_rt::heap::{ArrData, Obj};
 use safetsa_rt::{intrinsics, HeapRef, Trap, Value};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -55,11 +63,191 @@ type Slot = u32;
 /// Sentinel slot for "no receiver" / "no result".
 const NO_SLOT: Slot = u32::MAX;
 
-/// Unary primitive operation, pre-resolved to a function pointer.
-type PrimFn1 = fn(Value) -> Result<Value, Trap>;
+/// Every host intrinsic takes at most this many arguments; call sites
+/// stage intrinsic arguments in a fixed array of this size.
+const MAX_INTRINSIC_ARGS: usize = 4;
+
+/// Unary primitive operation, pre-resolved to a function pointer (no
+/// unary primitive can trap).
+type PrimFn1 = fn(u64) -> u64;
 
 /// Binary primitive operation, pre-resolved to a function pointer.
-type PrimFn2 = fn(Value, Value) -> Result<Value, Trap>;
+type PrimFn2 = fn(u64, u64) -> Result<u64, Trap>;
+
+/// The register plane of a frame slot or array element: which of the
+/// untagged `u64` encodings the slot holds.
+///
+/// | kind | encoding |
+/// |------|----------|
+/// | `Z`, `C`, `I` | zero-extended (`I` through `u32`) |
+/// | `J` | the `i64` bits |
+/// | `F`, `D` | `f32::to_bits` / `f64::to_bits` |
+/// | `R` | `0` for null, `n + 1` for `HeapRef(n)` |
+///
+/// Safe-index values live on the `I` plane; every reference plane
+/// (class, array, safe-ref) shares `R`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Z,
+    C,
+    I,
+    J,
+    F,
+    D,
+    R,
+}
+
+impl Kind {
+    fn of_prim(p: PrimKind) -> Kind {
+        match p {
+            PrimKind::Bool => Kind::Z,
+            PrimKind::Char => Kind::C,
+            PrimKind::Int => Kind::I,
+            PrimKind::Long => Kind::J,
+            PrimKind::Float => Kind::F,
+            PrimKind::Double => Kind::D,
+        }
+    }
+
+    fn of(types: &TypeTable, ty: TypeId) -> Kind {
+        match types.kind(ty) {
+            TypeKind::Prim(p) => Kind::of_prim(p),
+            TypeKind::SafeIndex(_) => Kind::I,
+            TypeKind::Class(_) | TypeKind::Array(_) | TypeKind::SafeRef(_) => Kind::R,
+        }
+    }
+
+    fn of_literal(lit: &Literal) -> Kind {
+        match lit {
+            Literal::Bool(_) => Kind::Z,
+            Literal::Char(_) => Kind::C,
+            Literal::Int(_) => Kind::I,
+            Literal::Long(_) => Kind::J,
+            Literal::Float(_) => Kind::F,
+            Literal::Double(_) => Kind::D,
+            Literal::Str(_) | Literal::Null => Kind::R,
+        }
+    }
+}
+
+// Slot decoders and encoders, one pair per plane.
+#[inline]
+fn as_z(b: u64) -> bool {
+    b != 0
+}
+#[inline]
+fn as_c(b: u64) -> u16 {
+    b as u16
+}
+#[inline]
+fn as_i(b: u64) -> i32 {
+    b as u32 as i32
+}
+#[inline]
+fn as_j(b: u64) -> i64 {
+    b as i64
+}
+#[inline]
+fn as_f(b: u64) -> f32 {
+    f32::from_bits(b as u32)
+}
+#[inline]
+fn as_d(b: u64) -> f64 {
+    f64::from_bits(b)
+}
+#[inline]
+fn as_ref(b: u64) -> Option<HeapRef> {
+    b.checked_sub(1).map(|n| HeapRef(n as u32))
+}
+#[inline]
+fn of_z(x: bool) -> u64 {
+    u64::from(x)
+}
+#[inline]
+fn of_c(x: u16) -> u64 {
+    u64::from(x)
+}
+#[inline]
+fn of_i(x: i32) -> u64 {
+    u64::from(x as u32)
+}
+#[inline]
+fn of_j(x: i64) -> u64 {
+    x as u64
+}
+#[inline]
+fn of_f(x: f32) -> u64 {
+    u64::from(x.to_bits())
+}
+#[inline]
+fn of_d(x: f64) -> u64 {
+    x.to_bits()
+}
+#[inline]
+fn of_ref(r: Option<HeapRef>) -> u64 {
+    r.map_or(0, |r| u64::from(r.0) + 1)
+}
+
+/// Strips a tagged value to its slot encoding.
+pub(crate) fn to_bits(v: Value) -> u64 {
+    match v {
+        Value::Z(x) => of_z(x),
+        Value::C(x) => of_c(x),
+        Value::I(x) => of_i(x),
+        Value::J(x) => of_j(x),
+        Value::F(x) => of_f(x),
+        Value::D(x) => of_d(x),
+        Value::Ref(r) => of_ref(r),
+    }
+}
+
+/// Re-attaches the tag of plane `k` to a slot encoding.
+pub(crate) fn from_bits(k: Kind, b: u64) -> Value {
+    match k {
+        Kind::Z => Value::Z(as_z(b)),
+        Kind::C => Value::C(as_c(b)),
+        Kind::I => Value::I(as_i(b)),
+        Kind::J => Value::J(as_j(b)),
+        Kind::F => Value::F(as_f(b)),
+        Kind::D => Value::D(as_d(b)),
+        Kind::R => Value::Ref(as_ref(b)),
+    }
+}
+
+/// Reads element `i` of a typed array straight into slot encoding.
+fn elt_get(data: &ArrData, i: usize) -> Result<u64, Trap> {
+    let oob = || Trap::IndexOutOfBounds;
+    Ok(match data {
+        ArrData::Z(v) => of_z(*v.get(i).ok_or_else(oob)?),
+        ArrData::C(v) => of_c(*v.get(i).ok_or_else(oob)?),
+        ArrData::I(v) => of_i(*v.get(i).ok_or_else(oob)?),
+        ArrData::J(v) => of_j(*v.get(i).ok_or_else(oob)?),
+        ArrData::F(v) => of_f(*v.get(i).ok_or_else(oob)?),
+        ArrData::D(v) => of_d(*v.get(i).ok_or_else(oob)?),
+        ArrData::R(v) => of_ref(*v.get(i).ok_or_else(oob)?),
+    })
+}
+
+/// Writes slot encoding `b` of plane `k` into element `i` of a typed
+/// array. A plane that does not match the array's storage (possible
+/// only in unverified code) traps Internal, like `ArrData::set`.
+fn elt_set(data: &mut ArrData, i: usize, k: Kind, b: u64) -> Result<(), Trap> {
+    fn put<T>(v: &mut [T], i: usize, x: T) -> Result<(), Trap> {
+        *v.get_mut(i).ok_or(Trap::IndexOutOfBounds)? = x;
+        Ok(())
+    }
+    match (data, k) {
+        (ArrData::Z(v), Kind::Z) => put(v, i, as_z(b)),
+        (ArrData::C(v), Kind::C) => put(v, i, as_c(b)),
+        (ArrData::I(v), Kind::I) => put(v, i, as_i(b)),
+        (ArrData::J(v), Kind::J) => put(v, i, as_j(b)),
+        (ArrData::F(v), Kind::F) => put(v, i, as_f(b)),
+        (ArrData::D(v), Kind::D) => put(v, i, as_d(b)),
+        (ArrData::R(v), Kind::R) => put(v, i, as_ref(b)),
+        (data, _) if i >= data.len() => Err(Trap::IndexOutOfBounds),
+        _ => Err(Trap::Internal("array element kind mismatch".into())),
+    }
+}
 
 /// `int` comparison predicate (the cmp half of the fused cmp+branch).
 #[derive(Debug, Clone, Copy)]
@@ -96,141 +284,126 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// Unary primitive decode table. Mirrors `interp::prim_eval` exactly
-/// (wrapping integer arithmetic, `as`-conversions); the op names come
-/// from the trusted `primops` tables, so the fallback arm is
-/// unreachable for verified modules.
-fn un_fn(kind: PrimKind, name: &'static str) -> PrimFn1 {
+/// Unary primitive decode table. Same semantics as `interp::prim_eval`
+/// (wrapping integer arithmetic, `as`-conversions); `None` for a name
+/// the trusted `primops` tables never produce.
+fn un_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn1> {
     use PrimKind::*;
-    match (kind, name) {
-        (Bool, "not") => |a| Ok(Value::Z(!a.as_z())),
-        (Char, "to_int") => |a| Ok(Value::I(a.as_c() as i32)),
-        (Int, "neg") => |a| Ok(Value::I(a.as_i().wrapping_neg())),
-        (Int, "not") => |a| Ok(Value::I(!a.as_i())),
-        (Int, "to_char") => |a| Ok(Value::C(a.as_i() as u16)),
-        (Int, "to_long") => |a| Ok(Value::J(a.as_i() as i64)),
-        (Int, "to_float") => |a| Ok(Value::F(a.as_i() as f32)),
-        (Int, "to_double") => |a| Ok(Value::D(a.as_i() as f64)),
-        (Long, "neg") => |a| Ok(Value::J(a.as_j().wrapping_neg())),
-        (Long, "not") => |a| Ok(Value::J(!a.as_j())),
-        (Long, "to_int") => |a| Ok(Value::I(a.as_j() as i32)),
-        (Long, "to_float") => |a| Ok(Value::F(a.as_j() as f32)),
-        (Long, "to_double") => |a| Ok(Value::D(a.as_j() as f64)),
-        (Float, "neg") => |a| Ok(Value::F(-a.as_f())),
-        (Float, "to_int") => |a| Ok(Value::I(a.as_f() as i32)),
-        (Float, "to_long") => |a| Ok(Value::J(a.as_f() as i64)),
-        (Float, "to_double") => |a| Ok(Value::D(a.as_f() as f64)),
-        (Double, "neg") => |a| Ok(Value::D(-a.as_d())),
-        (Double, "to_int") => |a| Ok(Value::I(a.as_d() as i32)),
-        (Double, "to_long") => |a| Ok(Value::J(a.as_d() as i64)),
-        (Double, "to_float") => |a| Ok(Value::F(a.as_d() as f32)),
-        _ => |_| Err(Trap::Internal("unknown unary primop".into())),
-    }
+    let f: PrimFn1 = match (kind, name) {
+        (Bool, "not") => |a| of_z(!as_z(a)),
+        (Char, "to_int") => |a| of_i(as_c(a) as i32),
+        (Int, "neg") => |a| of_i(as_i(a).wrapping_neg()),
+        (Int, "not") => |a| of_i(!as_i(a)),
+        (Int, "to_char") => |a| of_c(as_i(a) as u16),
+        (Int, "to_long") => |a| of_j(as_i(a) as i64),
+        (Int, "to_float") => |a| of_f(as_i(a) as f32),
+        (Int, "to_double") => |a| of_d(as_i(a) as f64),
+        (Long, "neg") => |a| of_j(as_j(a).wrapping_neg()),
+        (Long, "not") => |a| of_j(!as_j(a)),
+        (Long, "to_int") => |a| of_i(as_j(a) as i32),
+        (Long, "to_float") => |a| of_f(as_j(a) as f32),
+        (Long, "to_double") => |a| of_d(as_j(a) as f64),
+        (Float, "neg") => |a| of_f(-as_f(a)),
+        (Float, "to_int") => |a| of_i(as_f(a) as i32),
+        (Float, "to_long") => |a| of_j(as_f(a) as i64),
+        (Float, "to_double") => |a| of_d(as_f(a) as f64),
+        (Double, "neg") => |a| of_d(-as_d(a)),
+        (Double, "to_int") => |a| of_i(as_d(a) as i32),
+        (Double, "to_long") => |a| of_j(as_d(a) as i64),
+        (Double, "to_float") => |a| of_f(as_d(a) as f32),
+        _ => return None,
+    };
+    Some(f)
 }
 
 /// Binary primitive decode table; same semantics as `interp::prim_eval`
 /// (div/rem trap DivByZero, int shifts mask to 5 bits, long shifts take
 /// an `int` amount masked to 6 bits).
-fn bin_fn(kind: PrimKind, name: &'static str) -> PrimFn2 {
+fn bin_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn2> {
     use PrimKind::*;
-    match (kind, name) {
-        (Bool, "and") => |a, b| Ok(Value::Z(a.as_z() & b.as_z())),
-        (Bool, "or") => |a, b| Ok(Value::Z(a.as_z() | b.as_z())),
-        (Bool, "xor") => |a, b| Ok(Value::Z(a.as_z() ^ b.as_z())),
-        (Bool, "eq") => |a, b| Ok(Value::Z(a.as_z() == b.as_z())),
-        (Bool, "ne") => |a, b| Ok(Value::Z(a.as_z() != b.as_z())),
-        (Char, "eq") => |a, b| Ok(Value::Z(a.as_c() == b.as_c())),
-        (Char, "ne") => |a, b| Ok(Value::Z(a.as_c() != b.as_c())),
-        (Char, "lt") => |a, b| Ok(Value::Z(a.as_c() < b.as_c())),
-        (Char, "le") => |a, b| Ok(Value::Z(a.as_c() <= b.as_c())),
-        (Char, "gt") => |a, b| Ok(Value::Z(a.as_c() > b.as_c())),
-        (Char, "ge") => |a, b| Ok(Value::Z(a.as_c() >= b.as_c())),
-        (Int, "add") => |a, b| Ok(Value::I(a.as_i().wrapping_add(b.as_i()))),
-        (Int, "sub") => |a, b| Ok(Value::I(a.as_i().wrapping_sub(b.as_i()))),
-        (Int, "mul") => |a, b| Ok(Value::I(a.as_i().wrapping_mul(b.as_i()))),
-        (Int, "div") => |a, b| {
-            let y = b.as_i();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::I(a.as_i().wrapping_div(y)))
+    let f: PrimFn2 = match (kind, name) {
+        (Bool, "and") => |a, b| Ok(of_z(as_z(a) & as_z(b))),
+        (Bool, "or") => |a, b| Ok(of_z(as_z(a) | as_z(b))),
+        (Bool, "xor") => |a, b| Ok(of_z(as_z(a) ^ as_z(b))),
+        (Bool, "eq") => |a, b| Ok(of_z(as_z(a) == as_z(b))),
+        (Bool, "ne") => |a, b| Ok(of_z(as_z(a) != as_z(b))),
+        (Char, "eq") => |a, b| Ok(of_z(as_c(a) == as_c(b))),
+        (Char, "ne") => |a, b| Ok(of_z(as_c(a) != as_c(b))),
+        (Char, "lt") => |a, b| Ok(of_z(as_c(a) < as_c(b))),
+        (Char, "le") => |a, b| Ok(of_z(as_c(a) <= as_c(b))),
+        (Char, "gt") => |a, b| Ok(of_z(as_c(a) > as_c(b))),
+        (Char, "ge") => |a, b| Ok(of_z(as_c(a) >= as_c(b))),
+        (Int, "add") => |a, b| Ok(of_i(as_i(a).wrapping_add(as_i(b)))),
+        (Int, "sub") => |a, b| Ok(of_i(as_i(a).wrapping_sub(as_i(b)))),
+        (Int, "mul") => |a, b| Ok(of_i(as_i(a).wrapping_mul(as_i(b)))),
+        (Int, "div") => |a, b| match as_i(b) {
+            0 => Err(Trap::DivByZero),
+            y => Ok(of_i(as_i(a).wrapping_div(y))),
         },
-        (Int, "rem") => |a, b| {
-            let y = b.as_i();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::I(a.as_i().wrapping_rem(y)))
+        (Int, "rem") => |a, b| match as_i(b) {
+            0 => Err(Trap::DivByZero),
+            y => Ok(of_i(as_i(a).wrapping_rem(y))),
         },
-        (Int, "and") => |a, b| Ok(Value::I(a.as_i() & b.as_i())),
-        (Int, "or") => |a, b| Ok(Value::I(a.as_i() | b.as_i())),
-        (Int, "xor") => |a, b| Ok(Value::I(a.as_i() ^ b.as_i())),
-        (Int, "shl") => |a, b| Ok(Value::I(a.as_i().wrapping_shl(b.as_i() as u32 & 31))),
-        (Int, "shr") => |a, b| Ok(Value::I(a.as_i().wrapping_shr(b.as_i() as u32 & 31))),
-        (Int, "ushr") => {
-            |a, b| Ok(Value::I(((a.as_i() as u32) >> (b.as_i() as u32 & 31)) as i32))
-        }
-        (Int, "eq") => |a, b| Ok(Value::Z(a.as_i() == b.as_i())),
-        (Int, "ne") => |a, b| Ok(Value::Z(a.as_i() != b.as_i())),
-        (Int, "lt") => |a, b| Ok(Value::Z(a.as_i() < b.as_i())),
-        (Int, "le") => |a, b| Ok(Value::Z(a.as_i() <= b.as_i())),
-        (Int, "gt") => |a, b| Ok(Value::Z(a.as_i() > b.as_i())),
-        (Int, "ge") => |a, b| Ok(Value::Z(a.as_i() >= b.as_i())),
-        (Long, "add") => |a, b| Ok(Value::J(a.as_j().wrapping_add(b.as_j()))),
-        (Long, "sub") => |a, b| Ok(Value::J(a.as_j().wrapping_sub(b.as_j()))),
-        (Long, "mul") => |a, b| Ok(Value::J(a.as_j().wrapping_mul(b.as_j()))),
-        (Long, "div") => |a, b| {
-            let y = b.as_j();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::J(a.as_j().wrapping_div(y)))
+        (Int, "and") => |a, b| Ok(of_i(as_i(a) & as_i(b))),
+        (Int, "or") => |a, b| Ok(of_i(as_i(a) | as_i(b))),
+        (Int, "xor") => |a, b| Ok(of_i(as_i(a) ^ as_i(b))),
+        (Int, "shl") => |a, b| Ok(of_i(as_i(a).wrapping_shl(as_i(b) as u32 & 31))),
+        (Int, "shr") => |a, b| Ok(of_i(as_i(a).wrapping_shr(as_i(b) as u32 & 31))),
+        (Int, "ushr") => |a, b| Ok(of_i(((as_i(a) as u32) >> (as_i(b) as u32 & 31)) as i32)),
+        (Int, "eq") => |a, b| Ok(of_z(as_i(a) == as_i(b))),
+        (Int, "ne") => |a, b| Ok(of_z(as_i(a) != as_i(b))),
+        (Int, "lt") => |a, b| Ok(of_z(as_i(a) < as_i(b))),
+        (Int, "le") => |a, b| Ok(of_z(as_i(a) <= as_i(b))),
+        (Int, "gt") => |a, b| Ok(of_z(as_i(a) > as_i(b))),
+        (Int, "ge") => |a, b| Ok(of_z(as_i(a) >= as_i(b))),
+        (Long, "add") => |a, b| Ok(of_j(as_j(a).wrapping_add(as_j(b)))),
+        (Long, "sub") => |a, b| Ok(of_j(as_j(a).wrapping_sub(as_j(b)))),
+        (Long, "mul") => |a, b| Ok(of_j(as_j(a).wrapping_mul(as_j(b)))),
+        (Long, "div") => |a, b| match as_j(b) {
+            0 => Err(Trap::DivByZero),
+            y => Ok(of_j(as_j(a).wrapping_div(y))),
         },
-        (Long, "rem") => |a, b| {
-            let y = b.as_j();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::J(a.as_j().wrapping_rem(y)))
+        (Long, "rem") => |a, b| match as_j(b) {
+            0 => Err(Trap::DivByZero),
+            y => Ok(of_j(as_j(a).wrapping_rem(y))),
         },
-        (Long, "and") => |a, b| Ok(Value::J(a.as_j() & b.as_j())),
-        (Long, "or") => |a, b| Ok(Value::J(a.as_j() | b.as_j())),
-        (Long, "xor") => |a, b| Ok(Value::J(a.as_j() ^ b.as_j())),
-        (Long, "shl") => |a, b| Ok(Value::J(a.as_j().wrapping_shl(b.as_i() as u32 & 63))),
-        (Long, "shr") => |a, b| Ok(Value::J(a.as_j().wrapping_shr(b.as_i() as u32 & 63))),
-        (Long, "ushr") => {
-            |a, b| Ok(Value::J(((a.as_j() as u64) >> (b.as_i() as u32 & 63)) as i64))
-        }
-        (Long, "eq") => |a, b| Ok(Value::Z(a.as_j() == b.as_j())),
-        (Long, "ne") => |a, b| Ok(Value::Z(a.as_j() != b.as_j())),
-        (Long, "lt") => |a, b| Ok(Value::Z(a.as_j() < b.as_j())),
-        (Long, "le") => |a, b| Ok(Value::Z(a.as_j() <= b.as_j())),
-        (Long, "gt") => |a, b| Ok(Value::Z(a.as_j() > b.as_j())),
-        (Long, "ge") => |a, b| Ok(Value::Z(a.as_j() >= b.as_j())),
-        (Float, "add") => |a, b| Ok(Value::F(a.as_f() + b.as_f())),
-        (Float, "sub") => |a, b| Ok(Value::F(a.as_f() - b.as_f())),
-        (Float, "mul") => |a, b| Ok(Value::F(a.as_f() * b.as_f())),
-        (Float, "div") => |a, b| Ok(Value::F(a.as_f() / b.as_f())),
-        (Float, "rem") => |a, b| Ok(Value::F(a.as_f() % b.as_f())),
-        (Float, "eq") => |a, b| Ok(Value::Z(a.as_f() == b.as_f())),
-        (Float, "ne") => |a, b| Ok(Value::Z(a.as_f() != b.as_f())),
-        (Float, "lt") => |a, b| Ok(Value::Z(a.as_f() < b.as_f())),
-        (Float, "le") => |a, b| Ok(Value::Z(a.as_f() <= b.as_f())),
-        (Float, "gt") => |a, b| Ok(Value::Z(a.as_f() > b.as_f())),
-        (Float, "ge") => |a, b| Ok(Value::Z(a.as_f() >= b.as_f())),
-        (Double, "add") => |a, b| Ok(Value::D(a.as_d() + b.as_d())),
-        (Double, "sub") => |a, b| Ok(Value::D(a.as_d() - b.as_d())),
-        (Double, "mul") => |a, b| Ok(Value::D(a.as_d() * b.as_d())),
-        (Double, "div") => |a, b| Ok(Value::D(a.as_d() / b.as_d())),
-        (Double, "rem") => |a, b| Ok(Value::D(a.as_d() % b.as_d())),
-        (Double, "eq") => |a, b| Ok(Value::Z(a.as_d() == b.as_d())),
-        (Double, "ne") => |a, b| Ok(Value::Z(a.as_d() != b.as_d())),
-        (Double, "lt") => |a, b| Ok(Value::Z(a.as_d() < b.as_d())),
-        (Double, "le") => |a, b| Ok(Value::Z(a.as_d() <= b.as_d())),
-        (Double, "gt") => |a, b| Ok(Value::Z(a.as_d() > b.as_d())),
-        (Double, "ge") => |a, b| Ok(Value::Z(a.as_d() >= b.as_d())),
-        _ => |_, _| Err(Trap::Internal("unknown binary primop".into())),
-    }
+        (Long, "and") => |a, b| Ok(of_j(as_j(a) & as_j(b))),
+        (Long, "or") => |a, b| Ok(of_j(as_j(a) | as_j(b))),
+        (Long, "xor") => |a, b| Ok(of_j(as_j(a) ^ as_j(b))),
+        (Long, "shl") => |a, b| Ok(of_j(as_j(a).wrapping_shl(as_i(b) as u32 & 63))),
+        (Long, "shr") => |a, b| Ok(of_j(as_j(a).wrapping_shr(as_i(b) as u32 & 63))),
+        (Long, "ushr") => |a, b| Ok(of_j(((as_j(a) as u64) >> (as_i(b) as u32 & 63)) as i64)),
+        (Long, "eq") => |a, b| Ok(of_z(as_j(a) == as_j(b))),
+        (Long, "ne") => |a, b| Ok(of_z(as_j(a) != as_j(b))),
+        (Long, "lt") => |a, b| Ok(of_z(as_j(a) < as_j(b))),
+        (Long, "le") => |a, b| Ok(of_z(as_j(a) <= as_j(b))),
+        (Long, "gt") => |a, b| Ok(of_z(as_j(a) > as_j(b))),
+        (Long, "ge") => |a, b| Ok(of_z(as_j(a) >= as_j(b))),
+        (Float, "add") => |a, b| Ok(of_f(as_f(a) + as_f(b))),
+        (Float, "sub") => |a, b| Ok(of_f(as_f(a) - as_f(b))),
+        (Float, "mul") => |a, b| Ok(of_f(as_f(a) * as_f(b))),
+        (Float, "div") => |a, b| Ok(of_f(as_f(a) / as_f(b))),
+        (Float, "rem") => |a, b| Ok(of_f(as_f(a) % as_f(b))),
+        (Float, "eq") => |a, b| Ok(of_z(as_f(a) == as_f(b))),
+        (Float, "ne") => |a, b| Ok(of_z(as_f(a) != as_f(b))),
+        (Float, "lt") => |a, b| Ok(of_z(as_f(a) < as_f(b))),
+        (Float, "le") => |a, b| Ok(of_z(as_f(a) <= as_f(b))),
+        (Float, "gt") => |a, b| Ok(of_z(as_f(a) > as_f(b))),
+        (Float, "ge") => |a, b| Ok(of_z(as_f(a) >= as_f(b))),
+        (Double, "add") => |a, b| Ok(of_d(as_d(a) + as_d(b))),
+        (Double, "sub") => |a, b| Ok(of_d(as_d(a) - as_d(b))),
+        (Double, "mul") => |a, b| Ok(of_d(as_d(a) * as_d(b))),
+        (Double, "div") => |a, b| Ok(of_d(as_d(a) / as_d(b))),
+        (Double, "rem") => |a, b| Ok(of_d(as_d(a) % as_d(b))),
+        (Double, "eq") => |a, b| Ok(of_z(as_d(a) == as_d(b))),
+        (Double, "ne") => |a, b| Ok(of_z(as_d(a) != as_d(b))),
+        (Double, "lt") => |a, b| Ok(of_z(as_d(a) < as_d(b))),
+        (Double, "le") => |a, b| Ok(of_z(as_d(a) <= as_d(b))),
+        (Double, "gt") => |a, b| Ok(of_z(as_d(a) > as_d(b))),
+        (Double, "ge") => |a, b| Ok(of_z(as_d(a) >= as_d(b))),
+        _ => return None,
+    };
+    Some(f)
 }
 
 /// A resolved call target: a guest function body or a host intrinsic.
@@ -245,18 +418,6 @@ pub(crate) enum CallTarget {
         /// Whether the target method is static.
         is_static: bool,
     },
-}
-
-/// Array element representation, pre-resolved from the element type.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ElemKind {
-    Z,
-    C,
-    I,
-    J,
-    F,
-    D,
-    R,
 }
 
 /// Per-block metadata: the *original* (pre-fusion) instruction
@@ -305,8 +466,13 @@ pub(crate) enum Op {
         dst: Slot,
         t: u32,
     },
-    /// Parallel phi copies for one static CFG edge.
-    Moves { pairs: Box<[(Slot, Slot)]> },
+    /// Phi copies for one static CFG edge. They are parallel copies;
+    /// `staged` is false when no destination is read by a later pair,
+    /// so copying in order gives the same result without staging.
+    Moves {
+        pairs: Box<[(Slot, Slot)]>,
+        staged: bool,
+    },
     /// Return (`NO_SLOT` = void).
     Ret { src: Slot },
     /// `throw`: null receiver traps NullPointer, else a user trap.
@@ -357,19 +523,30 @@ pub(crate) enum Op {
         chk: Slot,
         dst: Slot,
     },
-    /// Field write.
-    SetField { obj: Slot, slot: u32, val: Slot },
+    /// Field write; `kind` re-tags the value for the tagged field.
+    SetField {
+        obj: Slot,
+        slot: u32,
+        val: Slot,
+        kind: Kind,
+    },
     /// Fused nullcheck + setfield.
     NullSetField {
         obj: Slot,
         slot: u32,
         val: Slot,
+        kind: Kind,
         chk: Slot,
     },
     /// Static-field read.
     GetStatic { class: u32, idx: u32, dst: Slot },
-    /// Static-field write.
-    SetStatic { class: u32, idx: u32, val: Slot },
+    /// Static-field write; `kind` re-tags the value.
+    SetStatic {
+        class: u32,
+        idx: u32,
+        val: Slot,
+        kind: Kind,
+    },
     /// Bounds check.
     IndexCheck { arr: Slot, idx: Slot, dst: Slot },
     /// Array element read.
@@ -382,13 +559,19 @@ pub(crate) enum Op {
         chk: Slot,
         dst: Slot,
     },
-    /// Array element write.
-    SetElt { arr: Slot, idx: Slot, val: Slot },
+    /// Array element write; `kind` is the static element plane.
+    SetElt {
+        arr: Slot,
+        idx: Slot,
+        val: Slot,
+        kind: Kind,
+    },
     /// Fused indexcheck + setelt.
     IdxSetElt {
         arr: Slot,
         idx: Slot,
         val: Slot,
+        kind: Kind,
         chk: Slot,
     },
     /// Array length read.
@@ -397,7 +580,7 @@ pub(crate) enum Op {
     New { class: ClassId, dst: Slot },
     /// Array allocation with pre-resolved element width and kind.
     NewArray {
-        elem: ElemKind,
+        elem: Kind,
         width: u64,
         type_tag: u64,
         len: Slot,
@@ -412,23 +595,26 @@ pub(crate) enum Op {
     /// Materialize the in-flight exception.
     Catch { dst: Slot },
     /// Statically bound call (`xcall`), target resolved at decode time.
+    /// Each argument carries its plane, used only to tag intrinsic
+    /// arguments.
     Call {
         target: CallTarget,
         recv: Slot,
-        args: Box<[Slot]>,
+        args: Box<[(Slot, Kind)]>,
         dst: Slot,
     },
-    /// Dynamic dispatch (`xdispatch`) with a monomorphic inline cache
-    /// keyed by the receiver's runtime class id.
+    /// Dynamic dispatch (`xdispatch`) of `method` with a monomorphic
+    /// inline cache keyed by the receiver's runtime class id.
     Dispatch {
-        vslot: u32,
+        method: MethodRef,
         ic: Cell<Option<(u32, CallTarget)>>,
         recv: Slot,
-        args: Box<[Slot]>,
+        args: Box<[(Slot, Kind)]>,
         dst: Slot,
     },
-    /// Decode-time-unresolvable instruction: traps Internal when (if
-    /// ever) executed, matching the switch engine's runtime error.
+    /// Decode-time-unresolvable or ill-kinded instruction: traps
+    /// Internal when (if ever) executed, matching the switch engine's
+    /// runtime error.
     Fail { msg: Box<str> },
 }
 
@@ -436,10 +622,18 @@ pub(crate) enum Op {
 pub(crate) struct TFunc {
     /// Diagnostic name (for the profiler's hot-function table).
     pub(crate) name: String,
-    /// Frame size in slots (the SSA value-table length).
-    pub(crate) nvals: usize,
-    /// Constant preloads: `(slot, literal)`.
-    pub(crate) consts: Vec<(Slot, Literal)>,
+    /// Result plane (`None` for void), re-attached at [`Vm::call`].
+    pub(crate) ret: Option<Kind>,
+    /// Frame image copied into every new frame: zero (null / `0` /
+    /// `false`) everywhere except the constant slots. String constant
+    /// slots are filled in on the first call (see `strings`).
+    pub(crate) template: RefCell<Box<[u64]>>,
+    /// String constants `(slot, literal)`, in constant-pool order.
+    /// Interned into `template` on the first call, never at decode:
+    /// decoding must not touch the heap.
+    pub(crate) strings: Box<[(Slot, Literal)]>,
+    /// Whether `strings` are already in `template`.
+    pub(crate) strings_ready: Cell<bool>,
     /// The decoded op array.
     pub(crate) code: Vec<Op>,
     /// Per-block metadata, indexed by the `bi` field of [`Op::Block`].
@@ -487,6 +681,7 @@ impl<'m> Vm<'m> {
 }
 
 fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
+    let types = &vm.module.types;
     let mut fl = Flattener {
         vm,
         f,
@@ -497,19 +692,47 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
         ctx: Vec::new(),
         cur: ENTRY,
     };
-    if fl.emit(&f.body) {
-        fl.code.push(Op::Ret { src: NO_SLOT });
+    let mut template = vec![0u64; f.values.len()];
+    let mut strings = Vec::new();
+    for (i, c) in f.consts.iter().enumerate() {
+        let slot = f.const_value(i).0;
+        if fl.kind(ValueId(slot)) != Some(Kind::of_literal(&c.lit)) {
+            fl.code.push(Op::Fail {
+                msg: "constant does not match its plane".into(),
+            });
+        }
+        let bits = match &c.lit {
+            Literal::Bool(x) => of_z(*x),
+            Literal::Char(x) => of_c(*x),
+            Literal::Int(x) => of_i(*x),
+            Literal::Long(x) => of_j(*x),
+            Literal::Float(x) => of_f(*x),
+            Literal::Double(x) => of_d(*x),
+            Literal::Null => 0,
+            Literal::Str(_) => {
+                strings.push((slot, c.lit.clone()));
+                0
+            }
+        };
+        if let Some(s) = template.get_mut(slot as usize) {
+            *s = bits;
+        }
     }
-    let consts = f
-        .consts
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (f.const_value(i).0, c.lit.clone()))
-        .collect();
+    if fl.emit(&f.body) {
+        if f.ret.is_none() {
+            fl.code.push(Op::Ret { src: NO_SLOT });
+        } else {
+            fl.code.push(Op::Fail {
+                msg: "missing return".into(),
+            });
+        }
+    }
     TFunc {
         name: f.name.clone(),
-        nvals: f.values.len(),
-        consts,
+        ret: f.ret.map(|t| Kind::of(types, t)),
+        template: RefCell::new(template.into_boxed_slice()),
+        strings_ready: Cell::new(strings.is_empty()),
+        strings: strings.into_boxed_slice(),
         code: fl.code,
         blocks: fl.blocks,
         block_starts: fl.block_starts,
@@ -518,6 +741,17 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
 }
 
 impl<'a, 'm> Flattener<'a, 'm> {
+    /// The plane of value `v`, or `None` for an id outside the value
+    /// table.
+    fn kind(&self, v: ValueId) -> Option<Kind> {
+        let info = self.f.values.get(v.index())?;
+        Some(Kind::of(&self.vm.module.types, info.ty))
+    }
+
+    fn is(&self, v: ValueId, k: Kind) -> bool {
+        self.kind(v) == Some(k)
+    }
+
     fn push_jump(&mut self) -> usize {
         self.code.push(Op::Jump { t: 0 });
         self.code.len() - 1
@@ -532,26 +766,40 @@ impl<'a, 'm> Flattener<'a, 'm> {
         }
     }
 
-    /// Emits the phi parallel copies for the static edge `from → to`.
-    fn emit_moves(&mut self, from: BlockId, to: BlockId) {
+    /// The `(dst, src)` phi copies into block `to` along the edge from
+    /// `from`, or why there are none.
+    fn edge_moves(&self, from: BlockId, to: BlockId) -> Result<Vec<(Slot, Slot)>, String> {
         let block = self.f.block(to);
-        if block.phis.is_empty() {
-            return;
-        }
         let mut pairs = Vec::with_capacity(block.phis.len());
         for (k, phi) in block.phis.iter().enumerate() {
-            match phi.arg_from(from) {
-                Some(a) => pairs.push((self.f.phi_result(to, k).0, a.0)),
-                None => {
-                    self.code.push(Op::Fail {
-                        msg: format!("phi in {to} has no arg from {from}").into(),
-                    });
-                    return;
-                }
+            let Some(a) = phi.arg_from(from) else {
+                return Err(format!("phi in {to} has no arg from {from}"));
+            };
+            let dst = self.f.phi_result(to, k);
+            if self.kind(dst).is_none() || self.kind(dst) != self.kind(a) {
+                return Err(format!(
+                    "phi in {to} takes an arg of another plane from {from}"
+                ));
             }
+            pairs.push((dst.0, a.0));
         }
-        self.code.push(Op::Moves {
-            pairs: pairs.into_boxed_slice(),
+        Ok(pairs)
+    }
+
+    /// Emits the phi parallel copies for the static edge `from → to`.
+    fn emit_moves(&mut self, from: BlockId, to: BlockId) {
+        if self.f.block(to).phis.is_empty() {
+            return;
+        }
+        self.code.push(match self.edge_moves(from, to) {
+            Ok(pairs) => Op::Moves {
+                staged: pairs
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &(dst, _))| pairs[i + 1..].iter().any(|&(_, src)| src == dst)),
+                pairs: pairs.into_boxed_slice(),
+            },
+            Err(msg) => Op::Fail { msg: msg.into() },
         });
     }
 
@@ -568,12 +816,14 @@ impl<'a, 'm> Flattener<'a, 'm> {
         let block = self.f.block(b);
         let mut charged: u32 = 0;
         for (k, instr) in block.instrs.iter().enumerate() {
-            let dst = self
-                .f
-                .instr_result(b, k)
-                .map(|v| v.0)
-                .unwrap_or(NO_SLOT);
-            let op = self.decode(instr, dst);
+            let dst = self.f.instr_result(b, k).map(|v| v.0).unwrap_or(NO_SLOT);
+            let op = if self.kinds_ok(instr, dst) {
+                self.decode(instr, dst)
+            } else {
+                Op::Fail {
+                    msg: format!("{} operand does not match its plane", instr.mnemonic()).into(),
+                }
+            };
             charged += 1;
             if charged >= 2 {
                 if let Some(fused) = try_fuse(self.code.last().expect("nonempty"), &op) {
@@ -642,10 +892,10 @@ impl<'a, 'm> Flattener<'a, 'm> {
                             t: 0,
                         });
                     } else {
-                        self.code.push(Op::BranchFalse { cond: cond.0, t: 0 });
+                        self.push_branch(*cond);
                     }
                 } else {
-                    self.code.push(Op::BranchFalse { cond: cond.0, t: 0 });
+                    self.push_branch(*cond);
                 }
                 let branch_at = self.code.len() - 1;
                 let saved = self.cur;
@@ -782,13 +1032,24 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 false
             }
             Cst::Return(v) => {
-                self.code.push(Op::Ret {
-                    src: v.map(|v| v.0).unwrap_or(NO_SLOT),
+                let ret = self.f.ret.map(|t| Kind::of(&self.vm.module.types, t));
+                self.code.push(match v {
+                    None if ret.is_none() => Op::Ret { src: NO_SLOT },
+                    Some(v) if ret.is_some() && self.kind(*v) == ret => Op::Ret { src: v.0 },
+                    _ => Op::Fail {
+                        msg: "return value does not match the result plane".into(),
+                    },
                 });
                 false
             }
             Cst::Throw(v) => {
-                self.code.push(Op::Throw { src: v.0 });
+                self.code.push(if self.is(*v, Kind::R) {
+                    Op::Throw { src: v.0 }
+                } else {
+                    Op::Fail {
+                        msg: "throw of a non-reference".into(),
+                    }
+                });
                 false
             }
             Cst::Try {
@@ -811,7 +1072,9 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 }
                 // Handler entry: control arrives only via unwinding,
                 // which applies the phi moves for the faulting block
-                // before jumping here.
+                // before jumping here. A predecessor whose moves are
+                // incomplete or ill-kinded gets no entry, so unwinding
+                // from it traps Internal.
                 let entry_pc = self.code.len() as u32;
                 let hb = self.f.block(*handler_entry);
                 let mut preds: Vec<BlockId> = Vec::new();
@@ -822,25 +1085,13 @@ impl<'a, 'm> Flattener<'a, 'm> {
                         }
                     }
                 }
-                let mut moves = Vec::new();
-                for p in preds {
-                    let mut pairs = Vec::with_capacity(hb.phis.len());
-                    let mut complete = true;
-                    for (k, phi) in hb.phis.iter().enumerate() {
-                        match phi.arg_from(p) {
-                            Some(a) => {
-                                pairs.push((self.f.phi_result(*handler_entry, k).0, a.0));
-                            }
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        }
-                    }
-                    if complete {
-                        moves.push((p.0, pairs.into_boxed_slice()));
-                    }
-                }
+                let moves = preds
+                    .into_iter()
+                    .filter_map(|p| {
+                        let pairs = self.edge_moves(p, *handler_entry).ok()?;
+                        Some((p.0, pairs.into_boxed_slice()))
+                    })
+                    .collect();
                 self.handlers[h as usize] = HandlerInfo {
                     entry_pc,
                     has_phis: !hb.phis.is_empty(),
@@ -865,10 +1116,160 @@ impl<'a, 'm> Flattener<'a, 'm> {
         }
     }
 
-    /// Decodes one SSA instruction into a threaded op.
+    /// Pushes the branch on `cond`. A non-boolean condition gets a
+    /// [`Op::Fail`] in front, so the branch itself is never reached.
+    fn push_branch(&mut self, cond: ValueId) {
+        if !self.is(cond, Kind::Z) {
+            self.code.push(Op::Fail {
+                msg: "branch condition is not a boolean".into(),
+            });
+        }
+        self.code.push(Op::BranchFalse { cond: cond.0, t: 0 });
+    }
+
+    /// The decode-time kind check: whether every operand of `instr`
+    /// (and its result slot `dst`) lies on the plane the instruction
+    /// reads or writes. The verifier proves this for every shipped
+    /// module; checking it once here is what lets the dispatch loop
+    /// read untagged slots without the per-step tag test.
+    fn kinds_ok(&self, instr: &Instr, dst: Slot) -> bool {
+        use Kind::{I, R, Z};
+        let types = &self.vm.module.types;
+        let k = |v: &ValueId| self.kind(*v);
+        let out = |want: Option<Kind>| match want {
+            None => dst == NO_SLOT,
+            Some(w) => dst != NO_SLOT && self.is(ValueId(dst), w),
+        };
+        let args_ok = |recv: Option<&ValueId>, args: &[ValueId], tys: &[TypeId]| {
+            recv.iter().count() + args.len() == tys.len()
+                && recv
+                    .into_iter()
+                    .chain(args)
+                    .zip(tys)
+                    .all(|(v, t)| k(v) == Some(Kind::of(types, *t)))
+        };
+        let field_kind =
+            |f: &safetsa_core::types::FieldRef| types.field(*f).map(|fi| Kind::of(types, fi.ty));
+        let elem_kind = |arr_ty: &TypeId| types.array_elem(*arr_ty).map(|e| Kind::of(types, e));
+        let ret_kind = |t: Option<TypeId>| t.map(|t| Kind::of(types, t));
+        match instr {
+            Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
+                let TypeKind::Prim(pk) = types.kind(*ty) else {
+                    return true; // decode reports it
+                };
+                let Some(desc) = primops::resolve(pk, *op) else {
+                    return true;
+                };
+                args.len() == desc.params.len()
+                    && args
+                        .iter()
+                        .zip(desc.params)
+                        .all(|(a, p)| k(a) == Some(Kind::of_prim(*p)))
+                    && out(Some(Kind::of_prim(desc.result)))
+            }
+            Instr::NullCheck { value, .. } | Instr::Upcast { value, .. } => {
+                k(value) == Some(R) && out(Some(R))
+            }
+            Instr::Downcast { value, .. } => k(value).is_some_and(|kv| out(Some(kv))),
+            Instr::IndexCheck { array, index, .. } => {
+                k(array) == Some(R) && k(index) == Some(I) && out(Some(I))
+            }
+            Instr::GetField { object, field, .. } => {
+                k(object) == Some(R) && field_kind(field).is_some_and(|fk| out(Some(fk)))
+            }
+            Instr::SetField {
+                object,
+                field,
+                value,
+                ..
+            } => k(object) == Some(R) && field_kind(field).is_some_and(|fk| k(value) == Some(fk)),
+            Instr::GetStatic { field } => field_kind(field).is_some_and(|fk| out(Some(fk))),
+            Instr::SetStatic { field, value } => {
+                field_kind(field).is_some_and(|fk| k(value) == Some(fk))
+            }
+            Instr::GetElt {
+                arr_ty,
+                array,
+                index,
+            } => {
+                k(array) == Some(R)
+                    && k(index) == Some(I)
+                    && elem_kind(arr_ty).is_some_and(|ek| out(Some(ek)))
+            }
+            Instr::SetElt {
+                arr_ty,
+                array,
+                index,
+                value,
+            } => {
+                k(array) == Some(R)
+                    && k(index) == Some(I)
+                    && elem_kind(arr_ty).is_some_and(|ek| k(value) == Some(ek))
+            }
+            Instr::ArrayLength { array, .. } => k(array) == Some(R) && out(Some(I)),
+            Instr::New { .. } => out(Some(R)),
+            Instr::NewArray { length, .. } => k(length) == Some(I) && out(Some(R)),
+            Instr::XCall {
+                method,
+                receiver,
+                args,
+                ..
+            } => {
+                let Some(info) = types.method(*method) else {
+                    return true;
+                };
+                match info.body {
+                    // Guest callee: the caller's slots are copied raw
+                    // into the callee's parameter slots, so they must
+                    // match the callee's own planes.
+                    Some(body) => {
+                        let Some(callee) = self.vm.module.functions.get(body as usize) else {
+                            return true;
+                        };
+                        args_ok(receiver.as_ref(), args, &callee.params)
+                            && out(ret_kind(callee.ret))
+                    }
+                    None => {
+                        receiver.is_none_or(|r| k(&r) == Some(R))
+                            && args_ok(None, args, &info.params)
+                            && args.len() <= MAX_INTRINSIC_ARGS
+                            && out(ret_kind(info.ret))
+                    }
+                }
+            }
+            Instr::XDispatch {
+                method,
+                receiver,
+                args,
+                ..
+            } => {
+                let Some(info) = types.method(*method) else {
+                    return true;
+                };
+                k(receiver) == Some(R)
+                    && args_ok(None, args, &info.params)
+                    && out(ret_kind(info.ret))
+            }
+            Instr::RefEq { a, b, .. } => k(a) == Some(R) && k(b) == Some(R) && out(Some(Z)),
+            Instr::InstanceOf { value, .. } => k(value) == Some(R) && out(Some(Z)),
+            Instr::Catch { .. } => out(Some(R)),
+        }
+    }
+
+    /// The argument slots of a call, each with its plane.
+    fn arg_slots(&self, args: &[ValueId]) -> Box<[(Slot, Kind)]> {
+        args.iter()
+            .map(|a| (a.0, self.kind(*a).unwrap_or(Kind::R)))
+            .collect()
+    }
+
+    /// Decodes one kind-checked SSA instruction into a threaded op.
     fn decode(&self, instr: &Instr, dst: Slot) -> Op {
         let types = &self.vm.module.types;
         let fail = |msg: &str| Op::Fail { msg: msg.into() };
+        let field_kind = |f: &safetsa_core::types::FieldRef| {
+            Kind::of(types, types.field(*f).expect("kind-checked field").ty)
+        };
         match instr {
             Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
                 let kind = match types.kind(*ty) {
@@ -889,17 +1290,23 @@ impl<'a, 'm> Flattener<'a, 'm> {
                     }
                 }
                 if desc.params.len() == 1 {
-                    Op::Prim1 {
-                        f: un_fn(kind, desc.name),
-                        a: args[0].0,
-                        dst,
+                    match un_fn(kind, desc.name) {
+                        Some(f) => Op::Prim1 {
+                            f,
+                            a: args[0].0,
+                            dst,
+                        },
+                        None => fail("unknown unary primop"),
                     }
                 } else {
-                    Op::Prim2 {
-                        f: bin_fn(kind, desc.name),
-                        a: args[0].0,
-                        b: args[1].0,
-                        dst,
+                    match bin_fn(kind, desc.name) {
+                        Some(f) => Op::Prim2 {
+                            f,
+                            a: args[0].0,
+                            b: args[1].0,
+                            dst,
+                        },
+                        None => fail("unknown binary primop"),
                     }
                 }
             }
@@ -933,6 +1340,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                     obj: object.0,
                     slot: slot as u32,
                     val: value.0,
+                    kind: field_kind(field),
                 },
                 Err(_) => fail("bad field ref"),
             },
@@ -945,6 +1353,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 class: field.class.0,
                 idx: field.index,
                 val: value.0,
+                kind: field_kind(field),
             },
             Instr::GetElt { array, index, .. } => Op::GetElt {
                 arr: array.0,
@@ -960,6 +1369,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 arr: array.0,
                 idx: index.0,
                 val: value.0,
+                kind: self.kind(*value).expect("kind-checked value"),
             },
             Instr::ArrayLength { array, .. } => Op::ArrayLength { arr: array.0, dst },
             Instr::New { class_ty } => match types.kind(*class_ty) {
@@ -971,17 +1381,8 @@ impl<'a, 'm> Flattener<'a, 'm> {
                     return fail("newarray on non-array type");
                 };
                 let elem = types.array_elem(*arr_ty).expect("checked above");
-                let elem = match types.kind(elem) {
-                    TypeKind::Prim(PrimKind::Bool) => ElemKind::Z,
-                    TypeKind::Prim(PrimKind::Char) => ElemKind::C,
-                    TypeKind::Prim(PrimKind::Int) => ElemKind::I,
-                    TypeKind::Prim(PrimKind::Long) => ElemKind::J,
-                    TypeKind::Prim(PrimKind::Float) => ElemKind::F,
-                    TypeKind::Prim(PrimKind::Double) => ElemKind::D,
-                    _ => ElemKind::R,
-                };
                 Op::NewArray {
-                    elem,
+                    elem: Kind::of(types, elem),
                     width,
                     type_tag: arr_ty.0 as u64,
                     len: length.0,
@@ -1007,7 +1408,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 Op::Call {
                     target,
                     recv: receiver.map(|r| r.0).unwrap_or(NO_SLOT),
-                    args: args.iter().map(|a| a.0).collect(),
+                    args: self.arg_slots(args),
                     dst,
                 }
             }
@@ -1020,14 +1421,14 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 let Some(info) = types.method(*method) else {
                     return fail("bad method ref");
                 };
-                let Some(vslot) = info.vtable_slot else {
+                if info.vtable_slot.is_none() {
                     return fail("xdispatch without slot");
-                };
+                }
                 Op::Dispatch {
-                    vslot,
+                    method: *method,
                     ic: Cell::new(None),
                     recv: receiver.0,
-                    args: args.iter().map(|a| a.0).collect(),
+                    args: self.arg_slots(args),
                     dst,
                 }
             }
@@ -1058,9 +1459,8 @@ impl<'a, 'm> Flattener<'a, 'm> {
             .iter()
             .map(|p| crate::interp::sig_letter(types, *p))
             .collect();
-        let id = intrinsics::resolve(&cinfo.name, &minfo.name, &sig).ok_or_else(|| {
-            format!("no intrinsic for {}.{}({sig})", cinfo.name, minfo.name)
-        })?;
+        let id = intrinsics::resolve(&cinfo.name, &minfo.name, &sig)
+            .ok_or_else(|| format!("no intrinsic for {}.{}({sig})", cinfo.name, minfo.name))?;
         Ok(CallTarget::Intrinsic {
             id,
             is_static: minfo.kind == MethodKind::Static,
@@ -1076,23 +1476,28 @@ impl<'a, 'm> Flattener<'a, 'm> {
 fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
     match (prev, cur) {
         // nullcheck → getfield on the checked ref.
-        (
-            &Op::NullCheck { v, dst: chk },
-            &Op::GetField { obj, slot, dst },
-        ) if obj == chk => Some(Op::NullGetField {
-            obj: v,
-            slot,
-            chk,
-            dst,
-        }),
+        (&Op::NullCheck { v, dst: chk }, &Op::GetField { obj, slot, dst }) if obj == chk => {
+            Some(Op::NullGetField {
+                obj: v,
+                slot,
+                chk,
+                dst,
+            })
+        }
         // nullcheck → setfield on the checked ref.
         (
             &Op::NullCheck { v, dst: chk },
-            &Op::SetField { obj, slot, val },
+            &Op::SetField {
+                obj,
+                slot,
+                val,
+                kind,
+            },
         ) if obj == chk && val != chk => Some(Op::NullSetField {
             obj: v,
             slot,
             val,
+            kind,
             chk,
         }),
         // indexcheck → getelt with the checked index on the same array.
@@ -1111,8 +1516,15 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
                 arr: a2,
                 idx: i2,
                 val,
+                kind,
             },
-        ) if a2 == arr && i2 == chk && val != chk => Some(Op::IdxSetElt { arr, idx, val, chk }),
+        ) if a2 == arr && i2 == chk && val != chk => Some(Op::IdxSetElt {
+            arr,
+            idx,
+            val,
+            kind,
+            chk,
+        }),
         // primitive → primitive chains (sequential evaluation keeps
         // dataflow and trap order identical to the unfused pair).
         (
@@ -1147,26 +1559,104 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
 // ---------------------------------------------------------------------
 
 impl<'m> Vm<'m> {
-    /// Runs one call in the threaded engine. Mirrors
-    /// `Vm::call_inner`'s switch path: argument and constant preloads,
-    /// then the dispatch loop, with traps unwinding to the innermost
-    /// active handler.
+    /// Runs one call in the threaded engine from tagged arguments: the
+    /// [`Vm::call`] boundary (the caller does the depth bookkeeping).
+    /// The arguments are stripped into a pooled frame, and the result
+    /// is re-tagged with the function's result plane.
     pub(crate) fn call_threaded(
         &mut self,
         fid: FuncId,
         args: Vec<Value>,
     ) -> Result<Option<Value>, Trap> {
         let tf = self.tfunc(fid);
-        // The verifier guarantees def-before-use, so slots can be plain
-        // values (zero-initialized) instead of the switch engine's
-        // Option-per-slot.
-        let mut vals = vec![Value::I(0); tf.nvals];
-        for (i, a) in args.into_iter().enumerate() {
-            vals[i] = a;
+        let mut frame = self.new_frame(&tf)?;
+        for (slot, a) in frame.iter_mut().zip(args) {
+            *slot = to_bits(a);
         }
-        for (slot, lit) in &tf.consts {
-            vals[*slot as usize] = self.literal(lit)?;
+        let r = self.run_frame(&tf, &mut frame);
+        self.frame_pool.push(frame);
+        let bits = r?;
+        Ok(tf.ret.map(|k| from_bits(k, bits)))
+    }
+
+    /// A frame for `tf`: a pooled buffer filled from the template. The
+    /// first call interns the string constants into the template (the
+    /// same allocations, in the same order, as materializing them per
+    /// call); a failed allocation leaves them unresolved for a retry.
+    fn new_frame(&mut self, tf: &TFunc) -> Result<Vec<u64>, Trap> {
+        if !tf.strings_ready.get() {
+            for (slot, lit) in tf.strings.iter() {
+                let bits = to_bits(self.literal(lit)?);
+                if let Some(s) = tf.template.borrow_mut().get_mut(*slot as usize) {
+                    *s = bits;
+                }
+            }
+            tf.strings_ready.set(true);
         }
+        let mut frame = self.frame_pool.pop().unwrap_or_default();
+        frame.clear();
+        frame.extend_from_slice(&tf.template.borrow());
+        Ok(frame)
+    }
+
+    /// A guest-to-guest call: depth bookkeeping, then a pooled frame
+    /// whose parameter slots are copied straight from the caller's
+    /// slots (receiver first). Returns the result slot (0 for void).
+    fn call_guest(
+        &mut self,
+        fid: FuncId,
+        caller: &[u64],
+        recv: Slot,
+        args: &[(Slot, Kind)],
+    ) -> Result<u64, Trap> {
+        self.enter_call()?;
+        let tf = self.tfunc(fid);
+        let r = match self.new_frame(&tf) {
+            Ok(mut frame) => {
+                let srcs = (recv != NO_SLOT)
+                    .then_some(recv)
+                    .into_iter()
+                    .chain(args.iter().map(|&(s, _)| s));
+                for (p, s) in frame.iter_mut().zip(srcs) {
+                    *p = caller[s as usize];
+                }
+                let r = self.run_frame(&tf, &mut frame);
+                self.frame_pool.push(frame);
+                r
+            }
+            Err(t) => Err(t),
+        };
+        self.depth -= 1;
+        r
+    }
+
+    /// Invokes a host intrinsic: the arguments are re-tagged from the
+    /// caller's slots into a fixed staging array. Returns the result
+    /// slot for `dst` (0 for void).
+    fn call_intrinsic(
+        &mut self,
+        id: intrinsics::Intrinsic,
+        recv: Option<Value>,
+        caller: &[u64],
+        args: &[(Slot, Kind)],
+        dst: Slot,
+    ) -> Result<u64, Trap> {
+        let mut staged = [Value::NULL; MAX_INTRINSIC_ARGS];
+        let Some(staged) = staged.get_mut(..args.len()) else {
+            return Err(Trap::Internal("too many intrinsic arguments".into()));
+        };
+        for (v, &(s, k)) in staged.iter_mut().zip(args) {
+            *v = from_bits(k, caller[s as usize]);
+        }
+        match intrinsics::invoke(id, &mut self.heap, &mut self.output, recv, staged)? {
+            Some(_) if dst == NO_SLOT => Err(Trap::Internal("result for result-less instr".into())),
+            v => Ok(v.map_or(0, to_bits)),
+        }
+    }
+
+    /// The dispatch loop over one frame, with traps unwinding to the
+    /// innermost active handler. Returns the result slot (0 for void).
+    fn run_frame(&mut self, tf: &TFunc, vals: &mut [u64]) -> Result<u64, Trap> {
         let mut pc: usize = 0;
         let mut handlers: Vec<u32> = Vec::new();
         let mut pending: Option<HeapRef> = None;
@@ -1174,70 +1664,64 @@ impl<'m> Vm<'m> {
             let trap: Trap = 'op: {
                 match &tf.code[pc] {
                     Op::Block { cost, bi } => {
-                        let cost = *cost;
-                        if self.fuel < u64::from(cost) {
-                            break 'op Trap::OutOfFuel;
-                        }
-                        self.fuel -= u64::from(cost);
-                        self.steps += u64::from(cost);
-                        if self.slice_active {
-                            if let Err(t) = self.slice_tick(&tf, *bi, cost) {
-                                break 'op t;
-                            }
-                        }
-                        if self.collect_stats {
-                            for &(m, n) in tf.blocks[*bi as usize].counts.iter() {
-                                *self.stats.opcodes.entry(m).or_insert(0) += u64::from(n);
-                            }
+                        if let Err(t) = self.charge_block(tf, *cost, *bi) {
+                            break 'op t;
                         }
                         pc += 1;
                         continue 'l;
                     }
                     Op::Jump { t } => {
                         pc = *t as usize;
+                        match self.land(tf, pc) {
+                            Ok(next) => pc = next,
+                            Err(t) => break 'op t,
+                        }
                         continue 'l;
                     }
                     Op::BranchFalse { cond, t } => {
-                        if vals[*cond as usize].as_z() {
-                            pc += 1;
+                        pc = if as_z(vals[*cond as usize]) {
+                            pc + 1
                         } else {
-                            pc = *t as usize;
+                            *t as usize
+                        };
+                        match self.land(tf, pc) {
+                            Ok(next) => pc = next,
+                            Err(t) => break 'op t,
                         }
                         continue 'l;
                     }
                     Op::CmpBranchFalse { pred, a, b, dst, t } => {
-                        let r =
-                            cmp_eval(*pred, vals[*a as usize].as_i(), vals[*b as usize].as_i());
-                        vals[*dst as usize] = Value::Z(r);
+                        let r = cmp_eval(*pred, as_i(vals[*a as usize]), as_i(vals[*b as usize]));
+                        vals[*dst as usize] = of_z(r);
                         if self.collect_stats {
                             *self.stats.fused.entry("primitive>branch").or_insert(0) += 1;
                         }
-                        if r {
-                            pc += 1;
-                        } else {
-                            pc = *t as usize;
+                        pc = if r { pc + 1 } else { *t as usize };
+                        match self.land(tf, pc) {
+                            Ok(next) => pc = next,
+                            Err(t) => break 'op t,
                         }
                         continue 'l;
                     }
-                    Op::Moves { pairs } => {
-                        let mut scratch = std::mem::take(&mut self.moves_scratch);
-                        scratch.clear();
-                        scratch.extend(pairs.iter().map(|&(_, src)| vals[src as usize]));
-                        for (&(dst, _), v) in pairs.iter().zip(&scratch) {
-                            vals[dst as usize] = *v;
+                    Op::Moves { pairs, staged } => {
+                        if *staged {
+                            self.parallel_copy(pairs, vals);
+                        } else {
+                            for &(dst, src) in pairs.iter() {
+                                vals[dst as usize] = vals[src as usize];
+                            }
                         }
-                        self.moves_scratch = scratch;
                         pc += 1;
                         continue 'l;
                     }
                     Op::Ret { src } => {
                         return Ok(if *src == NO_SLOT {
-                            None
+                            0
                         } else {
-                            Some(vals[*src as usize])
+                            vals[*src as usize]
                         });
                     }
-                    Op::Throw { src } => match vals[*src as usize].as_ref() {
+                    Op::Throw { src } => match as_ref(vals[*src as usize]) {
                         None => break 'op Trap::NullPointer,
                         Some(r) => break 'op Trap::User(r),
                     },
@@ -1256,7 +1740,12 @@ impl<'m> Vm<'m> {
                         pc += 1;
                         continue 'l;
                     }
-                    Op::Prim1 { f, a, dst } => match f(vals[*a as usize]) {
+                    Op::Prim1 { f, a, dst } => {
+                        vals[*dst as usize] = f(vals[*a as usize]);
+                        pc += 1;
+                        continue 'l;
+                    }
+                    Op::Prim2 { f, a, b, dst } => match f(vals[*a as usize], vals[*b as usize]) {
                         Ok(v) => {
                             vals[*dst as usize] = v;
                             pc += 1;
@@ -1264,16 +1753,6 @@ impl<'m> Vm<'m> {
                         }
                         Err(t) => break 'op t,
                     },
-                    Op::Prim2 { f, a, b, dst } => {
-                        match f(vals[*a as usize], vals[*b as usize]) {
-                            Ok(v) => {
-                                vals[*dst as usize] = v;
-                                pc += 1;
-                                continue 'l;
-                            }
-                            Err(t) => break 'op t,
-                        }
-                    }
                     Op::Prim2Pair {
                         f1,
                         a1,
@@ -1293,20 +1772,16 @@ impl<'m> Vm<'m> {
                             Err(t) => break 'op t,
                         }
                         if self.collect_stats {
-                            *self
-                                .stats
-                                .fused
-                                .entry("primitive>primitive")
-                                .or_insert(0) += 1;
+                            *self.stats.fused.entry("primitive>primitive").or_insert(0) += 1;
                         }
                         pc += 1;
                         continue 'l;
                     }
                     Op::IntCmp { pred, a, b, dst } => {
-                        vals[*dst as usize] = Value::Z(cmp_eval(
+                        vals[*dst as usize] = of_z(cmp_eval(
                             *pred,
-                            vals[*a as usize].as_i(),
-                            vals[*b as usize].as_i(),
+                            as_i(vals[*a as usize]),
+                            as_i(vals[*b as usize]),
                         ));
                         pc += 1;
                         continue 'l;
@@ -1316,7 +1791,7 @@ impl<'m> Vm<'m> {
                             self.stats.null_checks += 1;
                         }
                         let val = vals[*v as usize];
-                        if val.as_ref().is_none() {
+                        if val == 0 {
                             break 'op Trap::NullPointer;
                         }
                         vals[*dst as usize] = val;
@@ -1324,12 +1799,12 @@ impl<'m> Vm<'m> {
                         continue 'l;
                     }
                     Op::GetField { obj, slot, dst } => {
-                        let Some(r) = vals[*obj as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*obj as usize]) else {
                             break 'op Trap::NullPointer;
                         };
                         match self.heap.get(r) {
                             Obj::Instance { fields, .. } => {
-                                vals[*dst as usize] = fields[*slot as usize];
+                                vals[*dst as usize] = to_bits(fields[*slot as usize]);
                                 pc += 1;
                                 continue 'l;
                             }
@@ -1347,24 +1822,29 @@ impl<'m> Vm<'m> {
                             *self.stats.fused.entry("nullcheck>getfield").or_insert(0) += 1;
                         }
                         let val = vals[*obj as usize];
-                        let Some(r) = val.as_ref() else {
+                        let Some(r) = as_ref(val) else {
                             break 'op Trap::NullPointer;
                         };
                         vals[*chk as usize] = val;
                         match self.heap.get(r) {
                             Obj::Instance { fields, .. } => {
-                                vals[*dst as usize] = fields[*slot as usize];
+                                vals[*dst as usize] = to_bits(fields[*slot as usize]);
                                 pc += 1;
                                 continue 'l;
                             }
                             _ => break 'op Trap::Internal("getfield on non-instance".into()),
                         }
                     }
-                    Op::SetField { obj, slot, val } => {
-                        let Some(r) = vals[*obj as usize].as_ref() else {
+                    Op::SetField {
+                        obj,
+                        slot,
+                        val,
+                        kind,
+                    } => {
+                        let Some(r) = as_ref(vals[*obj as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let v = vals[*val as usize];
+                        let v = from_bits(*kind, vals[*val as usize]);
                         match self.heap.get_mut(r) {
                             Obj::Instance { fields, .. } => {
                                 fields[*slot as usize] = v;
@@ -1378,6 +1858,7 @@ impl<'m> Vm<'m> {
                         obj,
                         slot,
                         val,
+                        kind,
                         chk,
                     } => {
                         if self.collect_stats {
@@ -1385,11 +1866,11 @@ impl<'m> Vm<'m> {
                             *self.stats.fused.entry("nullcheck>setfield").or_insert(0) += 1;
                         }
                         let ov = vals[*obj as usize];
-                        let Some(r) = ov.as_ref() else {
+                        let Some(r) = as_ref(ov) else {
                             break 'op Trap::NullPointer;
                         };
                         vals[*chk as usize] = ov;
-                        let v = vals[*val as usize];
+                        let v = from_bits(*kind, vals[*val as usize]);
                         match self.heap.get_mut(r) {
                             Obj::Instance { fields, .. } => {
                                 fields[*slot as usize] = v;
@@ -1401,13 +1882,21 @@ impl<'m> Vm<'m> {
                     }
                     Op::GetStatic { class, idx, dst } => {
                         vals[*dst as usize] =
-                            self.statics.get(*class as usize, *idx as usize);
+                            to_bits(self.statics.get(*class as usize, *idx as usize));
                         pc += 1;
                         continue 'l;
                     }
-                    Op::SetStatic { class, idx, val } => {
-                        self.statics
-                            .set(*class as usize, *idx as usize, vals[*val as usize]);
+                    Op::SetStatic {
+                        class,
+                        idx,
+                        val,
+                        kind,
+                    } => {
+                        self.statics.set(
+                            *class as usize,
+                            *idx as usize,
+                            from_bits(*kind, vals[*val as usize]),
+                        );
                         pc += 1;
                         continue 'l;
                     }
@@ -1415,10 +1904,10 @@ impl<'m> Vm<'m> {
                         if self.collect_stats {
                             self.stats.index_checks += 1;
                         }
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let i = vals[*idx as usize].as_i();
+                        let i = as_i(vals[*idx as usize]);
                         let len = match self.heap.get(r) {
                             Obj::Array { data, .. } => data.len(),
                             _ => {
@@ -1428,17 +1917,17 @@ impl<'m> Vm<'m> {
                         if i < 0 || i as usize >= len {
                             break 'op Trap::IndexOutOfBounds;
                         }
-                        vals[*dst as usize] = Value::I(i);
+                        vals[*dst as usize] = of_i(i);
                         pc += 1;
                         continue 'l;
                     }
                     Op::GetElt { arr, idx, dst } => {
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let i = vals[*idx as usize].as_i() as usize;
+                        let i = as_i(vals[*idx as usize]) as usize;
                         match self.heap.get(r) {
-                            Obj::Array { data, .. } => match data.get(i) {
+                            Obj::Array { data, .. } => match elt_get(data, i) {
                                 Ok(v) => {
                                     vals[*dst as usize] = v;
                                     pc += 1;
@@ -1454,18 +1943,18 @@ impl<'m> Vm<'m> {
                             self.stats.index_checks += 1;
                             *self.stats.fused.entry("indexcheck>getelt").or_insert(0) += 1;
                         }
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let i = vals[*idx as usize].as_i();
+                        let i = as_i(vals[*idx as usize]);
                         match self.heap.get(r) {
                             Obj::Array { data, .. } => {
-                                if i < 0 || i as usize >= data.len() {
+                                if i < 0 {
                                     break 'op Trap::IndexOutOfBounds;
                                 }
-                                vals[*chk as usize] = Value::I(i);
-                                match data.get(i as usize) {
+                                match elt_get(data, i as usize) {
                                     Ok(v) => {
+                                        vals[*chk as usize] = of_i(i);
                                         vals[*dst as usize] = v;
                                         pc += 1;
                                         continue 'l;
@@ -1478,14 +1967,19 @@ impl<'m> Vm<'m> {
                             }
                         }
                     }
-                    Op::SetElt { arr, idx, val } => {
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                    Op::SetElt {
+                        arr,
+                        idx,
+                        val,
+                        kind,
+                    } => {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let i = vals[*idx as usize].as_i() as usize;
+                        let i = as_i(vals[*idx as usize]) as usize;
                         let v = vals[*val as usize];
                         match self.heap.get_mut(r) {
-                            Obj::Array { data, .. } => match data.set(i, v) {
+                            Obj::Array { data, .. } => match elt_set(data, i, *kind, v) {
                                 Ok(()) => {
                                     pc += 1;
                                     continue 'l;
@@ -1495,24 +1989,30 @@ impl<'m> Vm<'m> {
                             _ => break 'op Trap::Internal("setelt on non-array".into()),
                         }
                     }
-                    Op::IdxSetElt { arr, idx, val, chk } => {
+                    Op::IdxSetElt {
+                        arr,
+                        idx,
+                        val,
+                        kind,
+                        chk,
+                    } => {
                         if self.collect_stats {
                             self.stats.index_checks += 1;
                             *self.stats.fused.entry("indexcheck>setelt").or_insert(0) += 1;
                         }
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
-                        let i = vals[*idx as usize].as_i();
+                        let i = as_i(vals[*idx as usize]);
                         let v = vals[*val as usize];
                         match self.heap.get_mut(r) {
                             Obj::Array { data, .. } => {
-                                if i < 0 || i as usize >= data.len() {
+                                if i < 0 {
                                     break 'op Trap::IndexOutOfBounds;
                                 }
-                                match data.set(i as usize, v) {
+                                match elt_set(data, i as usize, *kind, v) {
                                     Ok(()) => {
-                                        vals[*chk as usize] = Value::I(i);
+                                        vals[*chk as usize] = of_i(i);
                                         pc += 1;
                                         continue 'l;
                                     }
@@ -1525,12 +2025,12 @@ impl<'m> Vm<'m> {
                         }
                     }
                     Op::ArrayLength { arr, dst } => {
-                        let Some(r) = vals[*arr as usize].as_ref() else {
+                        let Some(r) = as_ref(vals[*arr as usize]) else {
                             break 'op Trap::NullPointer;
                         };
                         match self.heap.get(r) {
                             Obj::Array { data, .. } => {
-                                vals[*dst as usize] = Value::I(data.len() as i32);
+                                vals[*dst as usize] = of_i(data.len() as i32);
                                 pc += 1;
                                 continue 'l;
                             }
@@ -1539,7 +2039,7 @@ impl<'m> Vm<'m> {
                     }
                     Op::New { class, dst } => match self.alloc_instance(*class) {
                         Ok(r) => {
-                            vals[*dst as usize] = Value::Ref(Some(r));
+                            vals[*dst as usize] = of_ref(Some(r));
                             pc += 1;
                             continue 'l;
                         }
@@ -1552,7 +2052,7 @@ impl<'m> Vm<'m> {
                         len,
                         dst,
                     } => {
-                        let n = vals[*len as usize].as_i();
+                        let n = as_i(vals[*len as usize]);
                         if n < 0 {
                             break 'op Trap::NegativeArraySize;
                         }
@@ -1569,59 +2069,50 @@ impl<'m> Vm<'m> {
                         }
                         let n = n as usize;
                         let data = match elem {
-                            ElemKind::Z => safetsa_rt::heap::ArrData::Z(vec![false; n]),
-                            ElemKind::C => safetsa_rt::heap::ArrData::C(vec![0; n]),
-                            ElemKind::I => safetsa_rt::heap::ArrData::I(vec![0; n]),
-                            ElemKind::J => safetsa_rt::heap::ArrData::J(vec![0; n]),
-                            ElemKind::F => safetsa_rt::heap::ArrData::F(vec![0.0; n]),
-                            ElemKind::D => safetsa_rt::heap::ArrData::D(vec![0.0; n]),
-                            ElemKind::R => safetsa_rt::heap::ArrData::R(vec![None; n]),
+                            Kind::Z => ArrData::Z(vec![false; n]),
+                            Kind::C => ArrData::C(vec![0; n]),
+                            Kind::I => ArrData::I(vec![0; n]),
+                            Kind::J => ArrData::J(vec![0; n]),
+                            Kind::F => ArrData::F(vec![0.0; n]),
+                            Kind::D => ArrData::D(vec![0.0; n]),
+                            Kind::R => ArrData::R(vec![None; n]),
                         };
                         let r = self.heap.alloc(Obj::Array {
                             type_tag: *type_tag,
                             data,
                         });
-                        vals[*dst as usize] = Value::Ref(Some(r));
+                        vals[*dst as usize] = of_ref(Some(r));
                         pc += 1;
                         continue 'l;
                     }
                     Op::Upcast { to, v, dst } => {
                         let val = vals[*v as usize];
-                        match val.as_ref() {
-                            None => {
-                                vals[*dst as usize] = val;
-                                pc += 1;
-                                continue 'l;
-                            }
-                            Some(r) => {
-                                if self.ref_is_instance_of(r, *to) {
-                                    vals[*dst as usize] = val;
-                                    pc += 1;
-                                    continue 'l;
-                                }
+                        if let Some(r) = as_ref(val) {
+                            if !self.ref_is_instance_of(r, *to) {
                                 break 'op Trap::ClassCast;
                             }
                         }
+                        vals[*dst as usize] = val;
+                        pc += 1;
+                        continue 'l;
                     }
                     Op::InstanceOf { target, v, dst } => {
-                        let res = match vals[*v as usize].as_ref() {
+                        let res = match as_ref(vals[*v as usize]) {
                             None => false,
                             Some(r) => self.ref_is_instance_of(r, *target),
                         };
-                        vals[*dst as usize] = Value::Z(res);
+                        vals[*dst as usize] = of_z(res);
                         pc += 1;
                         continue 'l;
                     }
                     Op::RefEq { a, b, dst } => {
-                        vals[*dst as usize] = Value::Z(
-                            vals[*a as usize].as_ref() == vals[*b as usize].as_ref(),
-                        );
+                        vals[*dst as usize] = of_z(vals[*a as usize] == vals[*b as usize]);
                         pc += 1;
                         continue 'l;
                     }
                     Op::Catch { dst } => match pending.take() {
                         Some(exc) => {
-                            vals[*dst as usize] = Value::Ref(Some(exc));
+                            vals[*dst as usize] = of_ref(Some(exc));
                             pc += 1;
                             continue 'l;
                         }
@@ -1635,56 +2126,36 @@ impl<'m> Vm<'m> {
                         args,
                         dst,
                     } => {
-                        let argv: Vec<Value> =
-                            args.iter().map(|&s| vals[s as usize]).collect();
                         let res = match *target {
-                            CallTarget::Func(f2) => {
-                                let mut all = Vec::with_capacity(argv.len() + 1);
-                                if *recv != NO_SLOT {
-                                    all.push(vals[*recv as usize]);
-                                }
-                                all.extend(argv);
-                                self.call(f2, all)
-                            }
+                            CallTarget::Func(f2) => self.call_guest(f2, vals, *recv, args),
                             CallTarget::Intrinsic { id, is_static } => {
                                 let rv = if is_static || *recv == NO_SLOT {
                                     None
                                 } else {
-                                    Some(vals[*recv as usize])
+                                    Some(from_bits(Kind::R, vals[*recv as usize]))
                                 };
-                                intrinsics::invoke(
-                                    id,
-                                    &mut self.heap,
-                                    &mut self.output,
-                                    rv,
-                                    &argv,
-                                )
+                                self.call_intrinsic(id, rv, vals, args, *dst)
                             }
                         };
                         match res {
-                            Ok(Some(v)) => {
-                                if *dst == NO_SLOT {
-                                    break 'op Trap::Internal(
-                                        "result for result-less instr".into(),
-                                    );
+                            Ok(v) => {
+                                if *dst != NO_SLOT {
+                                    vals[*dst as usize] = v;
                                 }
-                                vals[*dst as usize] = v;
+                                pc += 1;
+                                continue 'l;
                             }
-                            Ok(None) => {}
                             Err(t) => break 'op t,
                         }
-                        pc += 1;
-                        continue 'l;
                     }
                     Op::Dispatch {
-                        vslot,
+                        method,
                         ic,
                         recv,
                         args,
                         dst,
                     } => {
-                        let rv = vals[*recv as usize];
-                        let Some(r) = rv.as_ref() else {
+                        let Some(r) = as_ref(vals[*recv as usize]) else {
                             break 'op Trap::NullPointer;
                         };
                         let rc = match self.heap.get(r) {
@@ -1699,7 +2170,7 @@ impl<'m> Vm<'m> {
                             }
                             _ => {
                                 self.icache_misses += 1;
-                                match self.resolve_virtual(rc, *vslot) {
+                                match self.resolve_virtual(rc, *method) {
                                     Ok(t) => {
                                         ic.set(Some((rc, t)));
                                         t
@@ -1708,49 +2179,75 @@ impl<'m> Vm<'m> {
                                 }
                             }
                         };
-                        let argv: Vec<Value> =
-                            args.iter().map(|&s| vals[s as usize]).collect();
                         let res = match target {
-                            CallTarget::Func(f2) => {
-                                let mut all = Vec::with_capacity(argv.len() + 1);
-                                all.push(rv);
-                                all.extend(argv);
-                                self.call(f2, all)
-                            }
+                            CallTarget::Func(f2) => self.call_guest(f2, vals, *recv, args),
                             CallTarget::Intrinsic { id, is_static } => {
-                                let rv = if is_static { None } else { Some(rv) };
-                                intrinsics::invoke(
-                                    id,
-                                    &mut self.heap,
-                                    &mut self.output,
-                                    rv,
-                                    &argv,
-                                )
+                                let rv = (!is_static).then_some(Value::Ref(Some(r)));
+                                self.call_intrinsic(id, rv, vals, args, *dst)
                             }
                         };
                         match res {
-                            Ok(Some(v)) => {
-                                if *dst == NO_SLOT {
-                                    break 'op Trap::Internal(
-                                        "result for result-less instr".into(),
-                                    );
+                            Ok(v) => {
+                                if *dst != NO_SLOT {
+                                    vals[*dst as usize] = v;
                                 }
-                                vals[*dst as usize] = v;
+                                pc += 1;
+                                continue 'l;
                             }
-                            Ok(None) => {}
                             Err(t) => break 'op t,
                         }
-                        pc += 1;
-                        continue 'l;
                     }
                     Op::Fail { msg } => break 'op Trap::Internal(msg.to_string()),
                 }
             };
-            match self.unwind_threaded(&tf, &mut handlers, trap, pc, &mut vals, &mut pending) {
-                Ok(npc) => pc = npc,
-                Err(t) => return Err(t),
+            pc = self.unwind_threaded(tf, &mut handlers, trap, pc, vals, &mut pending)?;
+        }
+    }
+
+    /// Applies one edge's phi copies in parallel: every source is read
+    /// before any destination is written.
+    fn parallel_copy(&mut self, pairs: &[(Slot, Slot)], vals: &mut [u64]) {
+        let mut scratch = std::mem::take(&mut self.moves_scratch);
+        scratch.clear();
+        scratch.extend(pairs.iter().map(|&(_, src)| vals[src as usize]));
+        for (&(dst, _), v) in pairs.iter().zip(&scratch) {
+            vals[dst as usize] = *v;
+        }
+        self.moves_scratch = scratch;
+    }
+
+    /// Control arriving at `pc` from a jump or branch: when
+    /// `pc` is a block prologue, runs it here and returns the op after
+    /// it, saving the `Block` op's own dispatch.
+    #[inline(always)]
+    fn land(&mut self, tf: &TFunc, pc: usize) -> Result<usize, Trap> {
+        match tf.code[pc] {
+            Op::Block { cost, bi } => {
+                self.charge_block(tf, cost, bi)?;
+                Ok(pc + 1)
+            }
+            _ => Ok(pc),
+        }
+    }
+
+    /// Block entry: charges the block's fuel cost, runs the slice
+    /// countdown and applies stats.
+    #[inline(always)]
+    fn charge_block(&mut self, tf: &TFunc, cost: u32, bi: u32) -> Result<(), Trap> {
+        if self.fuel < u64::from(cost) {
+            return Err(Trap::OutOfFuel);
+        }
+        self.fuel -= u64::from(cost);
+        self.steps += u64::from(cost);
+        if self.slice_active {
+            self.slice_tick(tf, bi, cost)?;
+        }
+        if self.collect_stats {
+            for &(m, n) in tf.blocks[bi as usize].counts.iter() {
+                *self.stats.opcodes.entry(m).or_insert(0) += u64::from(n);
             }
         }
+        Ok(())
     }
 
     /// Slice countdown for one block. While profiling, the countdown
@@ -1759,8 +2256,6 @@ impl<'m> Vm<'m> {
     /// debited at once, with one boundary action per slice crossed.
     fn slice_tick(&mut self, tf: &TFunc, bi: u32, cost: u32) -> Result<(), Trap> {
         if self.profile_every != 0 {
-            // Split borrow: the ring push needs &mut self while `tf` is
-            // a separate Rc, so this is fine.
             let meta = &tf.blocks[bi as usize];
             for &m in meta.mnems.iter() {
                 self.profile_ring[self.profile_ring_idx as usize] = m;
@@ -1823,7 +2318,7 @@ impl<'m> Vm<'m> {
         handlers: &mut Vec<u32>,
         trap: Trap,
         pc: usize,
-        vals: &mut [Value],
+        vals: &mut [u64],
         pending: &mut Option<HeapRef>,
     ) -> Result<usize, Trap> {
         let Some(h) = handlers.pop() else {
@@ -1845,15 +2340,7 @@ impl<'m> Vm<'m> {
                 Err(i) => tf.block_starts[i - 1].1,
             };
             match hi.moves.iter().find(|(p, _)| *p == bid) {
-                Some((_, pairs)) => {
-                    let mut scratch = std::mem::take(&mut self.moves_scratch);
-                    scratch.clear();
-                    scratch.extend(pairs.iter().map(|&(_, src)| vals[src as usize]));
-                    for (&(dst, _), v) in pairs.iter().zip(&scratch) {
-                        vals[dst as usize] = *v;
-                    }
-                    self.moves_scratch = scratch;
-                }
+                Some((_, pairs)) => self.parallel_copy(pairs, vals),
                 None => {
                     return Err(Trap::Internal(format!(
                         "phi in handler has no arg from b{bid}"
@@ -1866,23 +2353,52 @@ impl<'m> Vm<'m> {
     }
 
     /// The vtable walk behind an inline-cache miss: resolves
-    /// `(runtime class, vtable slot)` to a call target. Deterministic
-    /// over the immutable vtables, so caching the result is sound.
-    fn resolve_virtual(&self, rc: u32, vslot: u32) -> Result<CallTarget, Trap> {
-        let (impl_class, impl_idx) = self.vtables[rc as usize][vslot as usize];
+    /// `(runtime class, dispatched method)` to a call target.
+    /// Deterministic over the immutable vtables, so caching the result
+    /// is sound. The call site was kind-checked against the dispatched
+    /// method's signature, so an override on other planes (possible
+    /// only in unverified code) traps instead of receiving its slots.
+    fn resolve_virtual(&self, rc: u32, method: MethodRef) -> Result<CallTarget, Trap> {
+        let types = &self.module.types;
+        let bad = |what: &str| Trap::Internal(what.into());
+        let decl = types.method(method).ok_or_else(|| bad("bad method ref"))?;
+        let vslot = decl
+            .vtable_slot
+            .ok_or_else(|| bad("xdispatch without slot"))?;
+        let &(impl_class, impl_idx) = self
+            .vtables
+            .get(rc as usize)
+            .and_then(|vt| vt.get(vslot as usize))
+            .ok_or_else(|| bad("receiver class lacks the vtable slot"))?;
         let target = MethodRef {
             class: impl_class,
             index: impl_idx,
         };
-        let info = self
-            .module
-            .types
+        let info = types
             .method(target)
-            .ok_or_else(|| Trap::Internal("bad vtable entry".into()))?;
+            .ok_or_else(|| bad("bad vtable entry"))?;
+        let kinds = |tys: &[TypeId]| tys.iter().map(|t| Kind::of(types, *t)).collect::<Vec<_>>();
+        let ret = |t: Option<TypeId>| t.map(|t| Kind::of(types, t));
+        let same_sig = |params: &[TypeId], r: Option<TypeId>| {
+            kinds(params) == kinds(&decl.params) && ret(r) == ret(decl.ret)
+        };
+        let mismatch = || bad("override signature differs from the dispatched method");
+        if !same_sig(&info.params, info.ret) {
+            return Err(mismatch());
+        }
         if let Some(body) = info.body {
+            let f = self
+                .module
+                .functions
+                .get(body as usize)
+                .ok_or_else(|| bad("bad method body"))?;
+            match f.params.split_first() {
+                Some((recv, params))
+                    if Kind::of(types, *recv) == Kind::R && same_sig(params, f.ret) => {}
+                _ => return Err(mismatch()),
+            }
             return Ok(CallTarget::Func(FuncId(body)));
         }
-        let types = &self.module.types;
         let cinfo = types.class(impl_class);
         let sig: String = info
             .params
@@ -1928,5 +2444,119 @@ impl<'m> Vm<'m> {
     /// convenience in integration code.
     pub fn is_threaded(&self) -> bool {
         self.engine() == Engine::Threaded
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn kind_of(v: Value) -> Kind {
+        match v {
+            Value::Z(_) => Kind::Z,
+            Value::C(_) => Kind::C,
+            Value::I(_) => Kind::I,
+            Value::J(_) => Kind::J,
+            Value::F(_) => Kind::F,
+            Value::D(_) => Kind::D,
+            Value::Ref(_) => Kind::R,
+        }
+    }
+
+    /// One value of every plane, with the edge cases of each encoding.
+    fn edge_values() -> Vec<Value> {
+        vec![
+            Value::Z(false),
+            Value::Z(true),
+            Value::C(0),
+            Value::C(0xFFFF),
+            Value::I(0),
+            Value::I(-1),
+            Value::I(i32::MIN),
+            Value::I(i32::MAX),
+            Value::J(-1),
+            Value::J(i64::MIN),
+            Value::J(i64::MAX),
+            Value::F(-0.0),
+            Value::F(f32::INFINITY),
+            Value::F(f32::from_bits(0x7FA0_0001)), // signalling NaN payload
+            Value::F(f32::from_bits(0xFFC0_1234)), // negative quiet NaN payload
+            Value::D(-0.0),
+            Value::D(f64::MIN_POSITIVE),
+            Value::D(f64::from_bits(0x7FF0_0000_0000_0001)),
+            Value::D(f64::from_bits(0xFFF8_DEAD_BEEF_0001)),
+            Value::NULL,
+            Value::Ref(Some(HeapRef(0))),
+            Value::Ref(Some(HeapRef(u32::MAX))),
+        ]
+    }
+
+    #[test]
+    fn slot_encoding_round_trips_bit_identically() {
+        for v in edge_values() {
+            let back = from_bits(kind_of(v), to_bits(v));
+            assert!(v.bits_eq(back), "{v:?} came back as {back:?}");
+        }
+    }
+
+    #[test]
+    fn narrow_planes_are_zero_extended() {
+        assert_eq!(to_bits(Value::C(0xFFFF)), 0xFFFF);
+        assert_eq!(to_bits(Value::I(-1)), 0xFFFF_FFFF);
+        assert_eq!(to_bits(Value::I(i32::MIN)), 0x8000_0000);
+        assert_eq!(to_bits(Value::Z(true)), 1);
+        assert_eq!(to_bits(Value::F(-0.0)), 0x8000_0000);
+    }
+
+    #[test]
+    fn null_and_first_handle_encode_differently() {
+        assert_eq!(to_bits(Value::NULL), 0);
+        assert_eq!(to_bits(Value::Ref(Some(HeapRef(0)))), 1);
+        assert_eq!(from_bits(Kind::R, 0), Value::NULL);
+        assert_eq!(from_bits(Kind::R, 1), Value::Ref(Some(HeapRef(0))));
+    }
+
+    #[test]
+    fn element_access_round_trips_every_array_kind() {
+        let arrays = [
+            (ArrData::Z(vec![false; 3]), Value::Z(true)),
+            (ArrData::C(vec![0; 3]), Value::C(0xFFFF)),
+            (ArrData::I(vec![0; 3]), Value::I(i32::MIN)),
+            (ArrData::J(vec![0; 3]), Value::J(i64::MIN)),
+            (
+                ArrData::F(vec![0.0; 3]),
+                Value::F(f32::from_bits(0x7FA0_0001)),
+            ),
+            (ArrData::D(vec![0.0; 3]), Value::D(-0.0)),
+            (ArrData::R(vec![None; 3]), Value::Ref(Some(HeapRef(0)))),
+        ];
+        for (mut data, v) in arrays {
+            let k = kind_of(v);
+            let last = data.len() - 1;
+            elt_set(&mut data, last, k, to_bits(v)).expect("in bounds");
+            let read = from_bits(k, elt_get(&data, last).expect("in bounds"));
+            assert!(read.bits_eq(v), "{v:?} read back as {read:?}");
+            let tagged = data.get(last).expect("in bounds");
+            assert!(
+                tagged.bits_eq(v),
+                "typed storage holds {tagged:?}, not {v:?}"
+            );
+            let past = data.len();
+            assert!(matches!(elt_get(&data, past), Err(Trap::IndexOutOfBounds)));
+            assert!(matches!(
+                elt_set(&mut data, past, k, to_bits(v)),
+                Err(Trap::IndexOutOfBounds)
+            ));
+        }
+    }
+
+    #[test]
+    fn element_write_on_another_plane_traps_internal() {
+        let mut data = ArrData::I(vec![0; 2]);
+        assert!(matches!(
+            elt_set(&mut data, 0, Kind::J, 5),
+            Err(Trap::Internal(_))
+        ));
+        assert_eq!(data, ArrData::I(vec![0; 2]));
     }
 }

@@ -22,7 +22,7 @@ use safetsa_opt::Passes;
 use safetsa_rt::Value;
 use safetsa_ssa::lower_program;
 use safetsa_telemetry::Telemetry;
-use safetsa_vm::{Engine, Vm, VmError};
+use safetsa_vm::{Engine, ResourceLimits, Vm, VmError};
 use std::time::Instant;
 
 fn results_agree(a: &Option<Value>, b: &Option<Value>) -> bool {
@@ -236,4 +236,109 @@ fn inline_cache_thrashes_on_alternating_receivers() {
     assert!(misses >= 900, "megamorphic site should thrash, saw {misses} misses");
     // The switch engine agrees on the answer, cache or no cache.
     assert_engines_agree(&m, "T.main", "megamorphic");
+}
+
+#[test]
+fn vm_is_reusable_after_stack_overflow_and_deep_uncaught_throw() {
+    // The threaded engine takes call frames from a pool and must hand
+    // each one back, and restore the call depth, on every exit path. A
+    // second entry point on the same VM must then match a fresh VM —
+    // `main` + `down(40)` fill the depth budget exactly, so a single
+    // depth unit leaked by the trapped run would overflow it.
+    let m = module_for(
+        "class Boom extends Exception { int code; Boom(int c) { super(\"boom\"); code = c; } }
+         class T {
+             static int down(int n) { if (n == 0) return 0; return 1 + down(n - 1); }
+             static int overflow() { return down(1000); }
+             static int c(int k) { if (k > 0) throw new Boom(k); return k; }
+             static int b(int k) { return c(k) + 1; }
+             static int a(int k) { return b(k) + 1; }
+             static int thrower() { return a(5); }
+             static int main() { return down(40) + a(0); }
+         }",
+    );
+    let limits = ResourceLimits {
+        max_call_depth: Some(42),
+        ..ResourceLimits::default()
+    };
+    let vm_for = |engine| {
+        let mut vm = Vm::load(&m).expect("loads");
+        vm.set_engine(engine);
+        vm.set_limits(limits);
+        vm
+    };
+    for engine in [Engine::Threaded, Engine::Switch] {
+        let fresh = vm_for(engine).run_entry("T.main");
+        assert!(
+            results_agree(&fresh.clone().expect("fresh run"), &Some(Value::I(42))),
+            "{engine}: fresh run gave {fresh:?}"
+        );
+        for (entry, trap) in [("T.overflow", "stack overflow"), ("T.thrower", "Boom")] {
+            let mut vm = vm_for(engine);
+            let err = vm.run_entry(entry).expect_err("traps");
+            assert!(
+                matches!(err, VmError::Uncaught(_)),
+                "{engine} {entry}: expected an uncaught {trap}, got {err}"
+            );
+            let again = vm.run_entry("T.main");
+            assert_eq!(again, fresh, "{engine}: run after {entry} differs from a fresh VM");
+        }
+    }
+}
+
+#[test]
+fn string_constants_allocate_once_however_often_called() {
+    // A string constant is interned on its function's first call; the
+    // next 999 calls reuse the frame template and allocate nothing.
+    let m = module_for(
+        "class T {
+             static int f() { String s = \"hello\"; return s.length(); }
+             static int once() { return f(); }
+             static int many() { int n = 0; for (int i = 0; i < 1000; i++) n += f(); return n; }
+         }",
+    );
+    let heap_after = |entry: &str, engine| {
+        let mut vm = Vm::load(&m).expect("loads");
+        vm.set_engine(engine);
+        vm.set_fuel(10_000_000);
+        vm.run_entry(entry).expect("runs");
+        (vm.heap.len(), vm.heap.bytes_allocated())
+    };
+    let once = heap_after("T.once", Engine::Threaded);
+    assert!(once.0 >= 1, "the literal was never allocated");
+    assert_eq!(heap_after("T.many", Engine::Threaded), once);
+    assert_eq!(heap_after("T.once", Engine::Switch), once);
+    assert_eq!(heap_after("T.many", Engine::Switch), once);
+}
+
+#[test]
+fn exception_caught_two_frames_up_sees_handler_phi_values() {
+    // `h` traps two frames below `main`'s handler; the handler-entry
+    // phis must take the values live at the faulting call: x = 7 and
+    // y = g(3) = 4, not the initial or the later assignments.
+    let m = module_for(
+        "class T {
+             static int h(int a) { return 10 / a; }
+             static int g(int a) { return h(a) + 1; }
+             static int main() {
+                 int x = 1;
+                 int y = 2;
+                 try {
+                     x = 5;
+                     y = g(3);
+                     x = 7;
+                     y = g(0);
+                     x = 9;
+                 } catch (ArithmeticException e) {
+                     return x * 100 + y;
+                 }
+                 return -1;
+             }
+         }",
+    );
+    for engine in [Engine::Threaded, Engine::Switch] {
+        let (r, _, _) = run_engine(&m, "T.main", engine);
+        let r = r.unwrap_or_else(|e| panic!("{engine}: {e}"));
+        assert!(results_agree(&r, &Some(Value::I(704))), "{engine}: {r:?}");
+    }
 }
