@@ -21,10 +21,7 @@ fn func<'m>(m: &'m Module, name: &str) -> &'m Function {
 }
 
 /// Every `(block, index, instr)` site matching `pred`.
-fn find_sites<'f>(
-    f: &'f Function,
-    pred: impl Fn(&Instr) -> bool,
-) -> Vec<(BlockId, usize, &'f Instr)> {
+fn find_sites(f: &Function, pred: impl Fn(&Instr) -> bool) -> Vec<(BlockId, usize, &Instr)> {
     let mut out = Vec::new();
     for (bi, block) in f.blocks.iter().enumerate() {
         for (k, i) in block.instrs.iter().enumerate() {

@@ -31,15 +31,14 @@
 //! pipeline) drops below the optional floor, one whose
 //! memory-operation removals (loads forwarded by `loadfwd` + stores
 //! eliminated by `dse`) drop below the optional third floor, or one
-//! whose threaded-engine dynamic step count rises above the optional
+//! whose VM dynamic step count rises above the optional
 //! fourth ceiling (steps are deterministic; fusion regressions show up
 //! here); a program with no threshold entry only warns, so adding
 //! corpus programs does not break CI until a threshold is blessed.
 //!
 //! `--pairs PATH` additionally writes the corpus-wide opcode-pair
-//! histogram (switch-engine sampling profiler, merged over every
-//! program) — the offline analysis that selects the threaded engine's
-//! superinstructions.
+//! histogram (the VM's sampling profiler, merged over every program) —
+//! the offline analysis that selects the VM's superinstructions.
 
 use safetsa_bench::serve::{run_loadgen, LoadgenOptions};
 use safetsa_bench::{corpus_report, incremental_replay, pair_histogram, IncrementalReplay, ProgramReport};
@@ -157,20 +156,6 @@ fn main() -> ExitCode {
         batch.cache_hits,
         batch.cache_misses,
     );
-    let vm_wall: u64 = reports.iter().map(|r| r.vm_wall_ns).sum();
-    let switch_wall: u64 = reports.iter().map(|r| r.switch_wall_ns).sum();
-    let reduction = switch_wall
-        .saturating_sub(vm_wall)
-        .checked_mul(100)
-        .and_then(|n| n.checked_div(switch_wall))
-        .unwrap_or(0);
-    println!(
-        "bench_report: vm {} ms threaded vs {} ms switch ({reduction}% wall reduction), {} fused steps vs {} unfused",
-        vm_wall / 1_000_000,
-        switch_wall / 1_000_000,
-        reports.iter().map(|r| r.steps).sum::<u64>(),
-        reports.iter().map(|r| r.switch_steps).sum::<u64>(),
-    );
     println!(
         "bench_report: serve loadgen {} requests ({} shed, {} panics isolated), p50 {} us / p99 {} us",
         serve.requests,
@@ -258,16 +243,8 @@ fn aggregate(
         Json::U64(reports.iter().map(|r| r.vm_wall_ns).sum()),
     );
     vm.set(
-        "switch_wall_ns",
-        Json::U64(reports.iter().map(|r| r.switch_wall_ns).sum()),
-    );
-    vm.set(
         "steps",
         Json::U64(reports.iter().map(|r| r.steps).sum()),
-    );
-    vm.set(
-        "switch_steps",
-        Json::U64(reports.iter().map(|r| r.switch_steps).sum()),
     );
     vm.set(
         "icache_hit_permille",

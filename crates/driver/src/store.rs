@@ -25,8 +25,8 @@
 //! the type table (symbol cardinalities, member counts) — and the
 //! latter as a structural digest of the referenced-class closure
 //! (fields, method signatures, vtable shape, superclass chains, the
-//! well-known host classes) plus the class count. The pass fingerprint,
-//! engine, and wire-format version are folded into every key by
+//! well-known host classes) plus the class count. The pass fingerprint
+//! and wire-format version are folded into every key by
 //! [`CacheKey::new`], so no caller can forget a component and alias two
 //! distinct compilations.
 //!
@@ -42,7 +42,6 @@ use safetsa_core::instr::Instr;
 use safetsa_core::types::{ClassId, MethodKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::{Function, Module};
 use safetsa_opt::{MemModel, OptStats, Passes};
-use safetsa_vm::Engine;
 use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -114,7 +113,7 @@ impl RecordKind {
 
 /// A fully composed store key. The constructor folds in every
 /// configuration axis — record kind, entry-format magic, wire-format
-/// version, VM engine, pass fingerprint — ahead of the caller's
+/// version, pass fingerprint — ahead of the caller's
 /// content, with NUL separators so field boundaries cannot alias.
 /// Callers compose keys *only* through [`CacheKey::new`]; there is no
 /// way to build one from a raw hash.
@@ -129,12 +128,10 @@ impl CacheKey {
     /// content-identifying bytes (source text for module records, the
     /// body/deps hashes for unit records, the unit name for identity
     /// records).
-    pub fn new(kind: RecordKind, engine: Engine, fingerprint: &str, content: &[u8]) -> CacheKey {
+    pub fn new(kind: RecordKind, fingerprint: &str, content: &[u8]) -> CacheKey {
         let mut state = fnv1a(STORE_MAGIC.as_bytes());
         state = fnv1a_continue(state, &[safetsa_codec::layout::VERSION, 0]);
         state = fnv1a_continue(state, kind.token().as_bytes());
-        state = fnv1a_continue(state, &[0]);
-        state = fnv1a_continue(state, engine.to_string().as_bytes());
         state = fnv1a_continue(state, &[0]);
         state = fnv1a_continue(state, fingerprint.as_bytes());
         state = fnv1a_continue(state, &[0]);
@@ -761,19 +758,18 @@ mod tests {
 
     #[test]
     fn key_folds_every_axis() {
-        let base = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
-        let other_kind = CacheKey::new(RecordKind::Unit, Engine::Threaded, "cfg", b"src");
-        let other_engine = CacheKey::new(RecordKind::Module, Engine::Switch, "cfg", b"src");
-        let other_cfg = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg2", b"src");
-        let other_src = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src2");
-        for other in [other_kind, other_engine, other_cfg, other_src] {
+        let base = CacheKey::new(RecordKind::Module, "cfg", b"src");
+        let other_kind = CacheKey::new(RecordKind::Unit, "cfg", b"src");
+        let other_cfg = CacheKey::new(RecordKind::Module, "cfg2", b"src");
+        let other_src = CacheKey::new(RecordKind::Module, "cfg", b"src2");
+        for other in [other_kind, other_cfg, other_src] {
             assert_ne!(base.hash(), other.hash());
         }
         // Field boundaries cannot alias: moving a byte across the
         // separator changes the key.
         assert_ne!(
-            CacheKey::new(RecordKind::Module, Engine::Threaded, "ab", b"c").hash(),
-            CacheKey::new(RecordKind::Module, Engine::Threaded, "a", b"bc").hash()
+            CacheKey::new(RecordKind::Module, "ab", b"c").hash(),
+            CacheKey::new(RecordKind::Module, "a", b"bc").hash()
         );
     }
 
@@ -800,7 +796,7 @@ mod tests {
     fn module_record_round_trip_and_corruption_is_a_miss() {
         let dir = test_dir("module");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         assert!(store.get_module(&key).is_none());
         let rec = ModuleRecord {
             bytes: vec![1, 2, 3],
@@ -820,7 +816,7 @@ mod tests {
     fn unit_and_identity_records_round_trip() {
         let dir = test_dir("unit");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Unit, Engine::Threaded, "cfg", b"u1");
+        let key = CacheKey::new(RecordKind::Unit, "cfg", b"u1");
         let mut stats = OptStats {
             instrs_before: 42,
             removed_by_cse: 7,
@@ -840,7 +836,7 @@ mod tests {
         assert_eq!(store.get_unit(&key), Some(rec));
         // Wrong-kind lookups miss even on a hash collision of content:
         // the kind token is in both the key and the record header.
-        let ident_key = CacheKey::new(RecordKind::UnitIdentity, Engine::Threaded, "cfg", b"P.m");
+        let ident_key = CacheKey::new(RecordKind::UnitIdentity, "cfg", b"P.m");
         assert!(store.get_identity(&key).is_none());
         let id = UnitIdentity {
             body_hash: 0xabc,
@@ -855,7 +851,7 @@ mod tests {
     fn v1_entries_and_foreign_files_read_as_misses() {
         let dir = test_dir("skew");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         // Plant a v1-format entry at exactly this key's path.
         let path = dir.join(format!("{:016x}.tsac", key.hash()));
         std::fs::write(
@@ -873,7 +869,7 @@ mod tests {
     fn vanished_directory_degrades_instead_of_failing() {
         let dir = test_dir("degrade");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         let rec = ModuleRecord {
             bytes: vec![9, 9],
             metrics: "c a.b 1\n".into(),

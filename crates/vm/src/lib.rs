@@ -7,11 +7,12 @@
 //! and interpretation suffices for the differential-correctness and
 //! representation-size experiments).
 //!
-//! The interpreter walks the Control Structure Tree; phi nodes are
-//! given parallel-copy semantics on block entry keyed by the dynamic
-//! predecessor block, exceptions follow the implicit edges to the
-//! innermost handler, and dynamic dispatch uses vtables derived (by the
-//! consumer, tamper-proof) from the type table's slot assignments.
+//! On first call each function's Control Structure Tree is decoded
+//! into a flat array of direct-threaded ops over untagged frame slots;
+//! phi nodes become parallel copies on each static edge, exceptions
+//! follow the implicit edges to the innermost handler, and dynamic
+//! dispatch uses vtables derived (by the consumer, tamper-proof) from
+//! the type table's slot assignments.
 //!
 //! # Examples
 //!
@@ -31,4 +32,4 @@
 mod interp;
 mod threaded;
 
-pub use interp::{Engine, ResourceLimits, Vm, VmError, VmProfile, VmStats, DEADLINE_SLICE};
+pub use interp::{ResourceLimits, Vm, VmError, VmProfile, VmStats, DEADLINE_SLICE};

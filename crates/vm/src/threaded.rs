@@ -1,4 +1,5 @@
-//! The direct-threaded execution core.
+//! The direct-threaded execution core: the only path guest code runs
+//! on.
 //!
 //! At first call, each function's verified SSA stream is *decoded*:
 //! the Control Structure Tree is flattened into a linear array of
@@ -6,8 +7,7 @@
 //! dense frame slots, phi parallel-copies pre-resolved per static edge
 //! into explicit [`Op::Moves`], and field/method references resolved to
 //! layout slots and call targets. The dispatch loop is a single match
-//! over a dense op enum (a jump table), instead of the tree-walking
-//! `match` over [`safetsa_core::instr::Instr`] in `interp.rs`.
+//! over a dense op enum (a jump table).
 //!
 //! Frames are **untagged**: every slot is a `u64` whose meaning the
 //! slot's plane fixes (see [`Kind`] and DESIGN.md "Untagged frames").
@@ -36,14 +36,11 @@
 //!   the old path plus one compare).
 //! * **Block-granularity fuel** — fuel is charged once per basic block
 //!   (its charged-op count) at block entry instead of per instruction.
-//!   A run completes iff fuel ≥ total charged steps, exactly as the
-//!   switch engine observes on its own accounting; on trap paths the
-//!   threaded engine may charge up to blocklen−1 instructions that the
-//!   switch engine would not have reached (the documented bounded
-//!   overshoot — never the other direction, so fuel remains a hard
-//!   ceiling).
+//!   A run completes iff fuel ≥ total charged steps; a block that traps
+//!   part-way has already paid for all of its instructions, so fuel
+//!   stays a hard ceiling.
 
-use crate::interp::{Engine, Vm, DEADLINE_SLICE, PROFILE_WINDOW};
+use crate::interp::{Vm, DEADLINE_SLICE, PROFILE_WINDOW};
 use safetsa_core::cst::Cst;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
@@ -284,9 +281,9 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// Unary primitive decode table. Same semantics as `interp::prim_eval`
-/// (wrapping integer arithmetic, `as`-conversions); `None` for a name
-/// the trusted `primops` tables never produce.
+/// Unary primitive decode table with Java semantics (wrapping integer
+/// arithmetic, `as`-conversions); `None` for a name the trusted
+/// `primops` tables never produce.
 fn un_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn1> {
     use PrimKind::*;
     let f: PrimFn1 = match (kind, name) {
@@ -316,9 +313,9 @@ fn un_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn1> {
     Some(f)
 }
 
-/// Binary primitive decode table; same semantics as `interp::prim_eval`
-/// (div/rem trap DivByZero, int shifts mask to 5 bits, long shifts take
-/// an `int` amount masked to 6 bits).
+/// Binary primitive decode table with Java semantics (div/rem trap
+/// DivByZero, int shifts mask to 5 bits, long shifts take an `int`
+/// amount masked to 6 bits).
 fn bin_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn2> {
     use PrimKind::*;
     let f: PrimFn2 = match (kind, name) {
@@ -422,8 +419,8 @@ pub(crate) enum CallTarget {
 
 /// Per-block metadata: the *original* (pre-fusion) instruction
 /// mnemonics in execution order, both as a list (fed to the profiler
-/// ring so pair histograms stay engine-comparable) and aggregated (for
-/// the stats opcode histogram).
+/// ring so pair histograms see the unfused instruction stream) and
+/// aggregated (for the stats opcode histogram).
 pub(crate) struct BlockMeta {
     /// Original mnemonics in order.
     pub(crate) mnems: Box<[&'static str]>,
@@ -441,8 +438,8 @@ pub(crate) struct HandlerInfo {
     /// Op index of the handler-entry block.
     pub(crate) entry_pc: u32,
     /// Whether the handler entry has phis at all (a faulting block with
-    /// no move entry is then an internal error, matching the switch
-    /// engine's missing-phi-arg trap).
+    /// no move entry is then an internal error: a phi without an
+    /// argument for its predecessor).
     pub(crate) has_phis: bool,
     /// Per-predecessor `(dst, src)` parallel copies.
     pub(crate) moves: Vec<PredMoves>,
@@ -613,8 +610,7 @@ pub(crate) enum Op {
         dst: Slot,
     },
     /// Decode-time-unresolvable or ill-kinded instruction: traps
-    /// Internal when (if ever) executed, matching the switch engine's
-    /// runtime error.
+    /// Internal when (if ever) executed.
     Fail { msg: Box<str> },
 }
 
@@ -1446,8 +1442,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
         }
     }
 
-    /// Resolves a body-less method to its host intrinsic at decode time
-    /// (same resolution the switch engine performs per call).
+    /// Resolves a body-less method to its host intrinsic at decode time.
     fn resolve_intrinsic(&self, class: ClassId, method: MethodRef) -> Result<CallTarget, String> {
         let types = &self.vm.module.types;
         let cinfo = types.class(class);
@@ -1559,10 +1554,10 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
 // ---------------------------------------------------------------------
 
 impl<'m> Vm<'m> {
-    /// Runs one call in the threaded engine from tagged arguments: the
-    /// [`Vm::call`] boundary (the caller does the depth bookkeeping).
-    /// The arguments are stripped into a pooled frame, and the result
-    /// is re-tagged with the function's result plane.
+    /// Runs one call from tagged arguments: the [`Vm::call`] boundary
+    /// (the caller does the depth bookkeeping). The arguments are
+    /// stripped into a pooled frame, and the result is re-tagged with
+    /// the function's result plane.
     pub(crate) fn call_threaded(
         &mut self,
         fid: FuncId,
@@ -2057,7 +2052,8 @@ impl<'m> Vm<'m> {
                             break 'op Trap::NegativeArraySize;
                         }
                         // Reserve the projected size before building
-                        // the elements, same as the switch engine.
+                        // the elements, so a hostile `new int[1 << 30]`
+                        // is rejected without the host committing it.
                         if let Err(t) = self
                             .heap
                             .try_reserve(safetsa_rt::heap::array_size_bytes(*width, n as u64))
@@ -2251,8 +2247,8 @@ impl<'m> Vm<'m> {
     }
 
     /// Slice countdown for one block. While profiling, the countdown
-    /// runs per original instruction (feeding the opcode ring exactly
-    /// like the switch engine); otherwise the whole block cost is
+    /// runs per original instruction (feeding the opcode ring with the
+    /// unfused mnemonics); otherwise the whole block cost is
     /// debited at once, with one boundary action per slice crossed.
     fn slice_tick(&mut self, tf: &TFunc, bi: u32, cost: u32) -> Result<(), Trap> {
         if self.profile_every != 0 {
@@ -2438,12 +2434,6 @@ impl<'m> Vm<'m> {
             }
         }
         (fused, total)
-    }
-
-    /// The engine's `Engine::Threaded` discriminant re-exported for
-    /// convenience in integration code.
-    pub fn is_threaded(&self) -> bool {
-        self.engine() == Engine::Threaded
     }
 }
 

@@ -686,14 +686,18 @@ fn profiler_survives_a_deadline_kill() {
 
 #[test]
 fn profiles_merge_additively() {
-    let mut a = safetsa_vm::VmProfile::default();
-    a.every_slices = 4;
-    a.samples = 3;
+    let mut a = safetsa_vm::VmProfile {
+        every_slices: 4,
+        samples: 3,
+        ..Default::default()
+    };
     a.hot.insert("A.f".into(), 3);
     a.pairs.insert("add>mul".into(), 2);
-    let mut b = safetsa_vm::VmProfile::default();
-    b.every_slices = 4;
-    b.samples = 5;
+    let mut b = safetsa_vm::VmProfile {
+        every_slices: 4,
+        samples: 5,
+        ..Default::default()
+    };
     b.hot.insert("A.f".into(), 1);
     b.hot.insert("B.g".into(), 5);
     a.merge(&b);

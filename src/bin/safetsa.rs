@@ -18,18 +18,14 @@
 //!     [--fuel N] [--max-heap BYTES] [--max-depth N]   resource budgets;
 //!     a resource report (steps, fuel remaining, bytes, peak depth)
 //!     goes to stderr
-//!     [--engine switch|threaded]   execution engine (default threaded:
-//!     pre-decoded direct-threaded core with superinstructions and
-//!     xdispatch inline caches; switch is the original interpreter,
-//!     kept as the differential oracle)
 //!     [--metrics-json PATH]   write a metrics report (adds the VM's
 //!     opcode histogram and dynamic check counters)
 //!     [--trace-json PATH]   write the run's span timeline
 //! safetsa dump <file.java> [--function Class.method] [--view V]
 //!     show an IR view (V: safetsa|plain|lr|planes; default safetsa)
-//! safetsa stats <file.java> [--engine E]   per-phase size/time/check
-//!     stats, plus (when the program has a `.main`) the chosen engine,
-//!     icache hit rate, and fused-pair coverage of the executed ops
+//! safetsa stats <file.java>   per-phase size/time/check stats, plus
+//!     (when the program has a `.main`) its step count, icache hit
+//!     rate, and fused-pair coverage of the executed ops
 //! safetsa analyze <in.java>... [--json]   lint the (unoptimized) IR;
 //!     exit 1 iff any error-severity diagnostic was reported
 //! safetsa verify <file.tsa>             decode + verify a module; print
@@ -44,7 +40,6 @@
 //!     tenant's budgets (0 = unlimited where applicable)
 //!     [--tenant NAME:k=v,...]   add a named tenant profile
 //!     (keys: fuel, heap, depth, deadline_ms, source_bytes); repeatable
-//!     [--engine switch|threaded]   VM engine for run requests
 //!     [--cache-dir PATH] [--chaos] [--no-remote-shutdown]
 //!     [--metrics-json PATH]   write the final stats snapshot on exit
 //!     [--trace-json PATH]   write the flight recorder's retained
@@ -52,9 +47,9 @@
 //! ```
 //!
 //! Exit codes: 0 success; 1 request-level failure (verify/decode/VM
-//! trap, resource exhaustion, isolated panic); 2 usage errors,
-//! unbuildable input, or I/O failures. Diagnostics are one line on
-//! stderr: `safetsa: error[<kind>]: <message>`.
+//! trap, resource exhaustion, isolated panic); 2 usage errors (an
+//! unknown `--flag` among them), unbuildable input, or I/O failures.
+//! Diagnostics are one line on stderr: `safetsa: error[<kind>]: <message>`.
 
 use safetsa::batch::{run_batch, BatchInput, BatchOptions};
 use safetsa::driver::passes_fingerprint;
@@ -68,6 +63,13 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Known flags and their values are not positional, so any `--`
+    // argument left over is a flag no subcommand accepts.
+    let rest = args.get(1..).unwrap_or(&[]);
+    if let Some(flag) = positional(rest).into_iter().find(|a| a.starts_with("--")) {
+        eprintln!("safetsa: error[usage]: unknown flag `{flag}`");
+        return ExitCode::from(2);
+    }
     let result = match args.first().map(String::as_str) {
         Some("compile") => cmd_compile(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -82,9 +84,9 @@ fn main() -> ExitCode {
             eprintln!("      [--trace-json PATH] [--jobs N] [--cache-dir PATH] [--explain-cache]");
             eprintln!("  run <file.tsa|file.java> --entry Class.method");
             eprintln!("      [--fuel N] [--max-heap BYTES] [--max-depth N] [--metrics-json PATH]");
-            eprintln!("      [--trace-json PATH] [--engine switch|threaded]");
+            eprintln!("      [--trace-json PATH]");
             eprintln!("  dump <file.java> [--function Class.method]");
-            eprintln!("  stats <file.java> [--engine switch|threaded]");
+            eprintln!("  stats <file.java>");
             eprintln!("  analyze <in.java>... [--json]");
             eprintln!("  verify <file.tsa>");
             eprintln!("  serve [--tcp ADDR|--socket PATH] [--workers N] [--queue N]");
@@ -111,6 +113,33 @@ fn main() -> ExitCode {
     }
 }
 
+/// Every flag any subcommand accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("-o", true),
+    ("--entry", true),
+    ("--function", true),
+    ("--view", true),
+    ("--fuel", true),
+    ("--max-heap", true),
+    ("--max-depth", true),
+    ("--metrics-json", true),
+    ("--trace-json", true),
+    ("--jobs", true),
+    ("--cache-dir", true),
+    ("--tcp", true),
+    ("--socket", true),
+    ("--workers", true),
+    ("--queue", true),
+    ("--max-deadline-ms", true),
+    ("--max-source-bytes", true),
+    ("--tenant", true),
+    ("--no-opt", false),
+    ("--explain-cache", false),
+    ("--json", false),
+    ("--chaos", false),
+    ("--no-remote-shutdown", false),
+];
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -135,34 +164,10 @@ fn positional(args: &[String]) -> Vec<&String> {
             skip = false;
             continue;
         }
-        if a.starts_with("--") || a == "-o" {
-            // flags with values
-            if matches!(
-                a.as_str(),
-                "-o" | "--entry"
-                    | "--engine"
-                    | "--function"
-                    | "--fuel"
-                    | "--view"
-                    | "--max-heap"
-                    | "--max-depth"
-                    | "--metrics-json"
-                    | "--trace-json"
-                    | "--jobs"
-                    | "--cache-dir"
-                    | "--tcp"
-                    | "--socket"
-                    | "--workers"
-                    | "--queue"
-                    | "--max-deadline-ms"
-                    | "--max-source-bytes"
-                    | "--tenant"
-            ) {
-                skip = true;
-            }
-            continue;
+        match FLAGS.iter().find(|(f, _)| f == a) {
+            Some(&(_, takes_value)) => skip = takes_value,
+            None => out.push(a),
         }
-        out.push(a);
     }
     out
 }
@@ -437,7 +442,6 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
     let fuel: u64 = parse_flag(args, "--fuel")?.unwrap_or(1_000_000_000);
     let max_heap: Option<u64> = parse_flag(args, "--max-heap")?;
     let max_depth: Option<u32> = parse_flag(args, "--max-depth")?;
-    let engine: safetsa_vm::Engine = parse_flag(args, "--engine")?.unwrap_or_default();
     let metrics_path = flag_value(args, "--metrics-json");
     let trace_path = flag_value(args, "--trace-json");
     // The registry also backs the stderr resource report, so `run`
@@ -448,7 +452,6 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
         } else {
             Telemetry::enabled()
         })
-        .engine(engine)
         .limits(safetsa_vm::ResourceLimits {
             fuel: Some(fuel),
             max_heap_bytes: max_heap,
@@ -757,7 +760,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         chaos: args.iter().any(|a| a == "--chaos"),
         allow_remote_shutdown: !args.iter().any(|a| a == "--no-remote-shutdown"),
         shutdown: Arc::clone(&shutdown),
-        engine: parse_flag(args, "--engine")?.unwrap_or_default(),
     };
     let metrics_path = flag_value(args, "--metrics-json");
     let trace_path = flag_value(args, "--trace-json");
@@ -892,15 +894,13 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
         (opt_bytes * 100).checked_div(class_bytes).unwrap_or(0)
     );
     // Consumer-side dynamics: execute the program's main (when it has
-    // one) under the selected engine and report what the threaded core
-    // did with it — inline-cache effectiveness and how much of the
-    // executed instruction stream the fused superinstructions covered.
-    let engine: safetsa_vm::Engine = parse_flag(args, "--engine")?.unwrap_or_default();
+    // one) and report what the VM did with it — inline-cache
+    // effectiveness and how much of the executed instruction stream the
+    // fused superinstructions covered.
     match module.functions.iter().find(|f| f.name.ends_with(".main")) {
         Some(f) => {
             let entry = f.name.clone();
             let mut vm = safetsa_vm::Vm::load(&module).map_err(Error::Vm)?;
-            vm.set_engine(engine);
             vm.set_fuel(1_000_000_000);
             vm.enable_stats();
             // A trap or exhaustion still leaves the dynamic counters
@@ -921,7 +921,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
                 2.0 * fused_execs as f64 * 100.0 / original_ops as f64
             };
             println!(
-                "engine        : {engine} ({entry}: {} steps, icache {}/{} hits = {:.1}%)",
+                "run           : {entry}: {} steps, icache {}/{} hits = {:.1}%",
                 vm.steps,
                 vm.icache_hits(),
                 lookups,
@@ -944,7 +944,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
                 }
             );
         }
-        None => println!("engine        : {engine} (no .main entry; dynamic stats unavailable)"),
+        None => println!("run           : no .main entry; dynamic stats unavailable"),
     }
     Ok(())
 }

@@ -130,6 +130,27 @@ fn usage_on_no_args() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join("safetsa-cli-test-flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("T.java");
+    std::fs::write(&src, "class T { static int main() { return 1; } }").unwrap();
+    let src = src.to_str().unwrap();
+    // A typo must not run with the default budget, and a removed flag's
+    // value must not be taken for the input file.
+    for (flag, value) in [("--fule", "10"), ("--engine", "switch")] {
+        let st = cli()
+            .args(["run", src, "--entry", "T.main", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(st.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&st.stderr);
+        assert!(err.contains("error[usage]") && err.contains(flag), "{err}");
+        assert!(st.stdout.is_empty(), "{flag}: the program ran");
+    }
+}
+
+#[test]
 fn analyze_clean_program_exits_zero() {
     let dir = std::env::temp_dir().join("safetsa-cli-test5");
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,28 +1,21 @@
-//! Dual-engine differential suite: every corpus program (and a set of
-//! targeted trap/exhaustion/deadline programs) runs under both the
-//! switch interpreter and the direct-threaded engine, and the two must
-//! agree — byte-identical output, bit-identical result, the same
-//! structured error on every failure path. This is the oracle that
-//! keeps the threaded engine honest: the 1400-line match interpreter
-//! is the executable specification, the pre-decoded engine is the
-//! implementation under test.
-//!
-//! Step accounting is compared too: superinstruction fusion means the
-//! threaded engine executes *at most* as many charged steps as the
-//! switch engine, never more, and fuel exhaustion must fire under both
-//! engines at any budget below the threaded engine's own total (block-
-//! granularity charging can only make the threaded engine trap
-//! earlier, within one basic block of the switch engine's point).
+//! Execution contracts of the VM, checked against the baseline stack
+//! interpreter where an independent answer exists: every corpus program
+//! and a set of targeted trap programs must produce the same output and
+//! the same result or uncaught trap under both. The remaining tests pin
+//! the VM's own contracts: block-granular fuel, deadlines, inline
+//! caches, frame reuse after traps, string-constant interning and
+//! handler-entry phis.
 
-use safetsa_bench::{build_pipeline, corpus};
+use safetsa_baseline::interp::{Bvm, BvmError};
+use safetsa_bench::{build_pipeline, corpus, run_differential};
 use safetsa_core::verify::verify_module;
 use safetsa_core::Module;
 use safetsa_frontend::compile;
 use safetsa_opt::Passes;
-use safetsa_rt::Value;
+use safetsa_rt::{Trap, Value};
 use safetsa_ssa::lower_program;
 use safetsa_telemetry::Telemetry;
-use safetsa_vm::{Engine, ResourceLimits, Vm, VmError};
+use safetsa_vm::{ResourceLimits, Vm, VmError};
 use std::time::Instant;
 
 fn results_agree(a: &Option<Value>, b: &Option<Value>) -> bool {
@@ -43,71 +36,41 @@ fn module_for(src: &str) -> Module {
     m
 }
 
-/// One run under `engine`: outcome, captured output, charged steps.
-fn run_engine(
-    m: &Module,
-    entry: &str,
-    engine: Engine,
-) -> (Result<Option<Value>, VmError>, String, u64) {
+/// One VM run: outcome, captured output, charged steps.
+fn run_vm(m: &Module, entry: &str) -> (Result<Option<Value>, VmError>, String, u64) {
     let mut vm = Vm::load(m).expect("loads");
-    vm.set_engine(engine);
     vm.set_fuel(500_000_000);
     let r = vm.run_entry(entry);
     (r, vm.output.text().to_string(), vm.steps)
 }
 
-/// Asserts both engines agree on `m`'s entry and returns the
-/// per-engine charged step counts `(threaded, switch)`.
-fn assert_engines_agree(m: &Module, entry: &str, label: &str) -> (u64, u64) {
-    let (tr, to, ts) = run_engine(m, entry, Engine::Threaded);
-    let (sr, so, ss) = run_engine(m, entry, Engine::Switch);
-    assert_eq!(to, so, "{label}: engine outputs diverge");
-    match (&tr, &sr) {
-        (Ok(a), Ok(b)) => assert!(
-            results_agree(a, b),
-            "{label}: threaded {a:?} vs switch {b:?}"
-        ),
-        (Err(a), Err(b)) => assert_eq!(
-            a.to_string(),
-            b.to_string(),
-            "{label}: engine errors diverge"
-        ),
-        (a, b) => panic!("{label}: outcome kind diverges: {a:?} vs {b:?}"),
-    }
-    (ts, ss)
-}
-
 #[test]
 fn corpus_agrees_across_engines() {
-    // Both the unoptimized and the optimized module of every corpus
-    // program — the threaded decoder must handle the raw producer
-    // output as well as the post-pass form it is tuned for.
+    // The unoptimized and the optimized module of every corpus program
+    // against the baseline stack interpreter, which runs the program
+    // from the HIR through its own code path.
     for entry in corpus() {
-        let pl = build_pipeline(&entry);
-        assert_engines_agree(&pl.module, entry.entry, entry.name);
-        let (ts, ss) = assert_engines_agree(&pl.optimized, entry.entry, entry.name);
-        assert!(
-            ts <= ss,
-            "{}: threaded charged {ts} steps, more than switch's {ss}",
-            entry.name
-        );
+        run_differential(&entry);
     }
 }
 
 #[test]
 fn trap_paths_agree_across_engines() {
-    // Uncaught traps: both engines must surface the same structured
-    // error with the same partial output.
-    let cases: &[(&str, &str, &str)] = &[
+    // Uncaught traps: the VM surfaces the raw trap, the baseline the
+    // exception object it materialized for it; both must name the same
+    // exception, after the same partial output.
+    let cases: &[(&str, &str, Trap, &str)] = &[
         (
             "div_by_zero",
             "class T { static int main() { int d = 0; Sys.println(1); return 7 / d; } }",
-            "T.main",
+            Trap::DivByZero,
+            "ArithmeticException",
         ),
         (
             "index_oob",
             "class T { static int main() { int[] a = new int[3]; Sys.println(2); return a[5]; } }",
-            "T.main",
+            Trap::IndexOutOfBounds,
+            "IndexOutOfBoundsException",
         ),
         (
             "null_deref",
@@ -116,68 +79,69 @@ fn trap_paths_agree_across_engines() {
                  static P get() { return null; }
                  static int main() { Sys.println(3); return get().x; }
              }",
-            "T.main",
+            Trap::NullPointer,
+            "NullPointerException",
         ),
     ];
-    for (label, src, entry) in cases {
-        let m = module_for(src);
-        let (tr, _, _) = run_engine(&m, entry, Engine::Threaded);
-        assert!(tr.is_err(), "{label}: expected an uncaught trap");
-        assert_engines_agree(&m, entry, label);
+    for (label, src, trap, exception) in cases {
+        let (r, out, _) = run_vm(&module_for(src), "T.main");
+        let prog = compile(src).expect("front-end accepts");
+        let mut code = safetsa_baseline::compile::compile_program(&prog);
+        safetsa_baseline::verify::verify_program(&prog, &mut code).expect("bytecode verifies");
+        let mut bvm = Bvm::load(&prog, &code);
+        bvm.set_fuel(500_000_000);
+        match (r, bvm.run_entry("T.main")) {
+            (Err(VmError::Uncaught(t)), Err(BvmError::Uncaught(Trap::User(obj)))) => {
+                assert_eq!(t, *trap, "{label}: VM trap");
+                let class = bvm.heap.instance_class(obj).expect("exception instance");
+                assert_eq!(prog.class(class).name, *exception, "{label}: baseline exception");
+            }
+            other => panic!("{label}: expected an uncaught trap from both, got {other:?}"),
+        }
+        assert_eq!(out, bvm.output.text(), "{label}: partial outputs diverge");
     }
 }
 
 #[test]
-fn fuel_exhaustion_agrees_across_engines() {
-    // Block-granularity charging may only move the exhaustion point
-    // *earlier* (the whole block is charged at entry), never later: at
-    // any budget below the threaded engine's own total both engines
-    // must exhaust, and at the threaded total the threaded engine must
-    // complete exactly (the block costs sum to the charged steps).
-    for entry in corpus().into_iter().take(6) {
+fn fuel_completes_at_charged_steps_and_exhausts_below() {
+    // Fuel is charged a whole basic block at a time on block entry: a
+    // run completes iff its budget covers the charged steps, and any
+    // smaller budget exhausts.
+    for entry in corpus() {
         let pl = build_pipeline(&entry);
-        let (r, _, threaded_steps) = run_engine(&pl.optimized, entry.entry, Engine::Threaded);
+        let (r, _, steps) = run_vm(&pl.optimized, entry.entry);
         r.unwrap_or_else(|e| panic!("{}: reference run: {e}", entry.name));
 
         let mut vm = Vm::load(&pl.optimized).expect("loads");
-        vm.set_fuel(threaded_steps);
+        vm.set_fuel(steps);
         vm.run_entry(entry.entry)
-            .unwrap_or_else(|e| panic!("{}: exact threaded budget trapped: {e}", entry.name));
+            .unwrap_or_else(|e| panic!("{}: budget of {steps} charged steps trapped: {e}", entry.name));
 
-        for budget in [threaded_steps / 2, threaded_steps.saturating_sub(1)] {
-            for engine in [Engine::Threaded, Engine::Switch] {
-                let mut vm = Vm::load(&pl.optimized).expect("loads");
-                vm.set_engine(engine);
-                vm.set_fuel(budget);
-                let err = vm.run_entry(entry.entry).expect_err("must exhaust");
-                assert!(
-                    matches!(err, VmError::FuelExhausted),
-                    "{}: {engine} at fuel {budget}: {err}",
-                    entry.name
-                );
-            }
+        for budget in [steps / 2, steps.saturating_sub(1)] {
+            let mut vm = Vm::load(&pl.optimized).expect("loads");
+            vm.set_fuel(budget);
+            let err = vm.run_entry(entry.entry).expect_err("must exhaust");
+            assert!(
+                matches!(err, VmError::FuelExhausted),
+                "{}: at fuel {budget}: {err}",
+                entry.name
+            );
         }
     }
 }
 
 #[test]
-fn expired_deadline_kills_both_engines() {
+fn expired_deadline_kills_the_run() {
     let entry = corpus()
         .into_iter()
         .find(|e| e.name == "BitSieve")
         .expect("BitSieve in corpus");
     let pl = build_pipeline(&entry);
-    for engine in [Engine::Threaded, Engine::Switch] {
-        let mut vm = Vm::load(&pl.optimized).expect("loads");
-        vm.set_engine(engine);
-        vm.set_fuel(500_000_000);
-        vm.set_deadline(Instant::now());
-        let err = vm.run_entry(entry.entry).expect_err("expired deadline");
-        assert!(
-            matches!(err, VmError::DeadlineExceeded),
-            "{engine}: {err}"
-        );
-    }
+    let mut vm = Vm::load(&pl.optimized).expect("loads");
+    vm.set_fuel(500_000_000);
+    vm.set_deadline(Instant::now());
+    let err = vm.run_entry(entry.entry).expect_err("expired deadline");
+    assert!(matches!(err, VmError::DeadlineExceeded), "{err}");
 }
 
 #[test]
@@ -234,15 +198,13 @@ fn inline_cache_thrashes_on_alternating_receivers() {
     assert!(results_agree(&r, &Some(Value::I(2500))), "{r:?}");
     let misses = vm.icache_misses();
     assert!(misses >= 900, "megamorphic site should thrash, saw {misses} misses");
-    // The switch engine agrees on the answer, cache or no cache.
-    assert_engines_agree(&m, "T.main", "megamorphic");
 }
 
 #[test]
 fn vm_is_reusable_after_stack_overflow_and_deep_uncaught_throw() {
-    // The threaded engine takes call frames from a pool and must hand
-    // each one back, and restore the call depth, on every exit path. A
-    // second entry point on the same VM must then match a fresh VM —
+    // The VM takes call frames from a pool and must hand each one back,
+    // and restore the call depth, on every exit path. A second entry
+    // point on the same VM must then match a fresh VM —
     // `main` + `down(40)` fill the depth budget exactly, so a single
     // depth unit leaked by the trapped run would overflow it.
     let m = module_for(
@@ -261,28 +223,25 @@ fn vm_is_reusable_after_stack_overflow_and_deep_uncaught_throw() {
         max_call_depth: Some(42),
         ..ResourceLimits::default()
     };
-    let vm_for = |engine| {
+    let vm_for = || {
         let mut vm = Vm::load(&m).expect("loads");
-        vm.set_engine(engine);
         vm.set_limits(limits);
         vm
     };
-    for engine in [Engine::Threaded, Engine::Switch] {
-        let fresh = vm_for(engine).run_entry("T.main");
+    let fresh = vm_for().run_entry("T.main");
+    assert!(
+        results_agree(&fresh.clone().expect("fresh run"), &Some(Value::I(42))),
+        "fresh run gave {fresh:?}"
+    );
+    for (entry, trap) in [("T.overflow", "stack overflow"), ("T.thrower", "Boom")] {
+        let mut vm = vm_for();
+        let err = vm.run_entry(entry).expect_err("traps");
         assert!(
-            results_agree(&fresh.clone().expect("fresh run"), &Some(Value::I(42))),
-            "{engine}: fresh run gave {fresh:?}"
+            matches!(err, VmError::Uncaught(_)),
+            "{entry}: expected an uncaught {trap}, got {err}"
         );
-        for (entry, trap) in [("T.overflow", "stack overflow"), ("T.thrower", "Boom")] {
-            let mut vm = vm_for(engine);
-            let err = vm.run_entry(entry).expect_err("traps");
-            assert!(
-                matches!(err, VmError::Uncaught(_)),
-                "{engine} {entry}: expected an uncaught {trap}, got {err}"
-            );
-            let again = vm.run_entry("T.main");
-            assert_eq!(again, fresh, "{engine}: run after {entry} differs from a fresh VM");
-        }
+        let again = vm.run_entry("T.main");
+        assert_eq!(again, fresh, "run after {entry} differs from a fresh VM");
     }
 }
 
@@ -297,18 +256,15 @@ fn string_constants_allocate_once_however_often_called() {
              static int many() { int n = 0; for (int i = 0; i < 1000; i++) n += f(); return n; }
          }",
     );
-    let heap_after = |entry: &str, engine| {
+    let heap_after = |entry: &str| {
         let mut vm = Vm::load(&m).expect("loads");
-        vm.set_engine(engine);
         vm.set_fuel(10_000_000);
         vm.run_entry(entry).expect("runs");
         (vm.heap.len(), vm.heap.bytes_allocated())
     };
-    let once = heap_after("T.once", Engine::Threaded);
+    let once = heap_after("T.once");
     assert!(once.0 >= 1, "the literal was never allocated");
-    assert_eq!(heap_after("T.many", Engine::Threaded), once);
-    assert_eq!(heap_after("T.once", Engine::Switch), once);
-    assert_eq!(heap_after("T.many", Engine::Switch), once);
+    assert_eq!(heap_after("T.many"), once);
 }
 
 #[test]
@@ -336,9 +292,7 @@ fn exception_caught_two_frames_up_sees_handler_phi_values() {
              }
          }",
     );
-    for engine in [Engine::Threaded, Engine::Switch] {
-        let (r, _, _) = run_engine(&m, "T.main", engine);
-        let r = r.unwrap_or_else(|e| panic!("{engine}: {e}"));
-        assert!(results_agree(&r, &Some(Value::I(704))), "{engine}: {r:?}");
-    }
+    let (r, _, _) = run_vm(&m, "T.main");
+    let r = r.unwrap_or_else(|e| panic!("{e}"));
+    assert!(results_agree(&r, &Some(Value::I(704))), "{r:?}");
 }
