@@ -23,9 +23,10 @@
 //!   facts can survive a call.
 //!
 //! Facts flow to two consumers: the optimization passes in
-//! `crates/opt` (`checkelim` rewriting provably redundant checks,
-//! `loadfwd`/`dse` forwarding loads and deleting dead stores from the
-//! alias/escape facts) and the IR [`lint`]er (`safetsa analyze`),
+//! `crates/opt` (`checkelim` deleting dead proven-in-bounds checks
+//! from the range and liveness facts, `loadfwd`/`dse` forwarding loads
+//! and deleting dead stores from the alias/escape facts) and the IR
+//! [`lint`]er (`safetsa analyze`, the only consumer of [`nullness`]),
 //! which reports always-trapping sites, dead stores, unreachable
 //! code, constant branches, unused values, and the heap diagnostics
 //! the same points-to facts prove.
@@ -46,7 +47,6 @@ pub mod lint;
 pub mod liveness;
 pub mod nullness;
 pub mod range;
-pub mod summary;
 
 pub use alias::{AliasAnalysis, AllocSite, PointsTo};
 pub use escape::{Escape, EscapeAnalysis};
@@ -56,4 +56,3 @@ pub use lint::{lint_function, lint_module, Diagnostic, Severity};
 pub use liveness::Liveness;
 pub use nullness::{Nullity, NullnessAnalysis};
 pub use range::{Range, RangeAnalysis};
-pub use summary::{summarize, FactSummary};

@@ -1,18 +1,18 @@
 //! The method-granular incremental store.
 //!
 //! This module replaces the old whole-file `Cache` with a typed,
-//! versioned analysis-sharing store (entry format `safetsa-cache/2`;
-//! `safetsa-cache/1` leftovers read as misses). Three record kinds live
+//! versioned store (entry format `safetsa-cache/3`; leftovers of
+//! earlier formats read as misses). Three record kinds live
 //! under one content-addressed namespace:
 //!
 //! * **Module records** — whole-file wire bytes plus the flat-serialized
 //!   telemetry of the compilation that produced them; what
 //!   [`crate::batch::run_batch`] and the serve daemon replay.
 //! * **Unit records** — one per *method*: the standalone encoded
-//!   function section (see `safetsa_codec::encode_function_section`),
-//!   the per-unit [`OptStats`], and the [`FactSummary`] of the dataflow
-//!   analyses. Keyed by the unit's body hash and dependency-signature
-//!   hash, so reuse is validated structurally, not by file identity.
+//!   function section (see `safetsa_codec::encode_function_section`)
+//!   and the per-unit [`OptStats`]. Keyed by the unit's body hash and
+//!   dependency-signature hash, so reuse is validated structurally, not
+//!   by file identity.
 //! * **Unit-identity records** — the last seen `(body_hash, deps_hash)`
 //!   per unit *name*, which is what lets `--explain-cache` say *why* a
 //!   unit missed (new / body changed / dependency changed).
@@ -36,7 +36,6 @@
 //! accelerator, not a source of truth.
 
 use crate::Error;
-use safetsa_analysis::FactSummary;
 use safetsa_codec::encode_function_section;
 use safetsa_core::instr::Instr;
 use safetsa_core::types::{ClassId, MethodKind, TypeId, TypeKind, TypeTable};
@@ -48,7 +47,7 @@ use std::path::{Path, PathBuf};
 
 /// Entry-format version stamped into every store file; bump on any
 /// layout change so stale entries read as misses.
-pub const STORE_MAGIC: &str = "safetsa-cache/2";
+pub const STORE_MAGIC: &str = "safetsa-cache/3";
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -95,7 +94,7 @@ pub fn passes_fingerprint(passes: &Passes) -> String {
 pub enum RecordKind {
     /// Whole-file wire bytes + compilation metrics.
     Module,
-    /// One method's encoded section + opt stats + analysis facts.
+    /// One method's encoded section + opt stats.
     Unit,
     /// A unit's last-seen `(body_hash, deps_hash)` pair, keyed by name.
     UnitIdentity,
@@ -174,7 +173,7 @@ pub struct ModuleRecord {
 }
 
 /// A per-method record: everything needed to splice the method into a
-/// fresh lowering without re-optimizing or re-analyzing it.
+/// fresh lowering without re-optimizing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitRecord {
     /// The optimized body, encoded standalone with
@@ -183,8 +182,6 @@ pub struct UnitRecord {
     /// The optimizer statistics the original compilation recorded for
     /// this unit (replayed into the telemetry totals on reuse).
     pub stats: OptStats,
-    /// The dataflow-analysis fact summary of the optimized body.
-    pub facts: FactSummary,
 }
 
 /// A unit's last-seen signature, stored under its *name* so the next
@@ -259,13 +256,12 @@ impl Store {
             let header = line(&mut rest)?;
             let (name, len) = header.rsplit_once(' ')?;
             let len: usize = len.parse().ok()?;
-            if rest.len() < len + 1 {
+            // Checked: a corrupt length near `usize::MAX` must not
+            // overflow into a small bound.
+            if rest.get(len) != Some(&b'\n') {
                 return None;
             }
             let body = rest[..len].to_vec();
-            if rest[len] != b'\n' {
-                return None;
-            }
             rest = &rest[len + 1..];
             sections.push((name.to_string(), body));
         }
@@ -334,14 +330,13 @@ impl Store {
     /// Looks up a unit record. Any corruption is a miss.
     pub fn get_unit(&self, key: &CacheKey) -> Option<UnitRecord> {
         let sections = self.read_record(key)?;
-        let [(s_name, section), (st_name, stats), (f_name, facts)] = sections.try_into().ok()?;
-        if s_name != "section" || st_name != "stats" || f_name != "facts" {
+        let [(s_name, section), (st_name, stats)] = sections.try_into().ok()?;
+        if s_name != "section" || st_name != "stats" {
             return None;
         }
         Some(UnitRecord {
             section,
             stats: stats_from_flat(std::str::from_utf8(&stats).ok()?)?,
-            facts: FactSummary::from_flat(std::str::from_utf8(&facts).ok()?)?,
         })
     }
 
@@ -352,7 +347,6 @@ impl Store {
             &[
                 ("section", &rec.section),
                 ("stats", stats_to_flat(&rec.stats).as_bytes()),
-                ("facts", rec.facts.to_flat().as_bytes()),
             ],
         )
     }
@@ -384,7 +378,7 @@ impl Store {
 /// [`OptStats`] field order for the flat serialization (scalar fields
 /// followed by the nested per-pass statistics, each flattened with its
 /// pass prefix). Writer and reader both walk this list.
-const STAT_FIELDS: [&str; 33] = [
+const STAT_FIELDS: [&str; 30] = [
     "instrs_before",
     "instrs_after",
     "phis_before",
@@ -401,11 +395,8 @@ const STAT_FIELDS: [&str; 33] = [
     "removed_by_dce",
     "checkelim.null_converted",
     "checkelim.index_deleted",
-    "checkelim.null_proven",
     "checkelim.index_proven",
-    "checkelim.nullness_facts",
     "checkelim.range_facts",
-    "checkelim.nullness_iterations",
     "checkelim.range_iterations",
     "loadfwd.store_forwarded",
     "loadfwd.load_reused",
@@ -438,11 +429,8 @@ fn stat_get(s: &OptStats, name: &str) -> u64 {
         "removed_by_dce" => s.removed_by_dce as u64,
         "checkelim.null_converted" => s.checkelim.null_converted as u64,
         "checkelim.index_deleted" => s.checkelim.index_deleted as u64,
-        "checkelim.null_proven" => s.checkelim.null_proven as u64,
         "checkelim.index_proven" => s.checkelim.index_proven as u64,
-        "checkelim.nullness_facts" => s.checkelim.nullness_facts,
         "checkelim.range_facts" => s.checkelim.range_facts,
-        "checkelim.nullness_iterations" => s.checkelim.nullness_iterations,
         "checkelim.range_iterations" => s.checkelim.range_iterations,
         "loadfwd.store_forwarded" => s.loadfwd.store_forwarded as u64,
         "loadfwd.load_reused" => s.loadfwd.load_reused as u64,
@@ -478,11 +466,8 @@ fn stat_set(s: &mut OptStats, name: &str, v: u64) {
         "removed_by_dce" => s.removed_by_dce = vu,
         "checkelim.null_converted" => s.checkelim.null_converted = vu,
         "checkelim.index_deleted" => s.checkelim.index_deleted = vu,
-        "checkelim.null_proven" => s.checkelim.null_proven = vu,
         "checkelim.index_proven" => s.checkelim.index_proven = vu,
-        "checkelim.nullness_facts" => s.checkelim.nullness_facts = v,
         "checkelim.range_facts" => s.checkelim.range_facts = v,
-        "checkelim.nullness_iterations" => s.checkelim.nullness_iterations = v,
         "checkelim.range_iterations" => s.checkelim.range_iterations = v,
         "loadfwd.store_forwarded" => s.loadfwd.store_forwarded = vu,
         "loadfwd.load_reused" => s.loadfwd.load_reused = vu,
@@ -823,14 +808,9 @@ mod tests {
             ..OptStats::default()
         };
         stats.loadfwd.alias_sites = 3;
-        let facts = FactSummary {
-            range_facts: 11,
-            ..FactSummary::default()
-        };
         let rec = UnitRecord {
             section: vec![0xde, 0xad, 0xbe, 0xef],
             stats,
-            facts,
         };
         assert!(store.put_unit_degrading(&key, &rec));
         assert_eq!(store.get_unit(&key), Some(rec));
@@ -862,6 +842,30 @@ mod tests {
         assert!(store.get_module(&key).is_none());
         std::fs::write(&path, b"not a cache entry at all").unwrap();
         assert!(store.get_module(&key).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overflowing_section_length_reads_as_a_miss() {
+        let dir = test_dir("overflow");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        for (kind, name) in [(RecordKind::Unit, "section"), (RecordKind::Module, "bytes")] {
+            let key = CacheKey::new(kind, "cfg", b"src");
+            let path = dir.join(format!("{:016x}.tsac", key.hash()));
+            std::fs::write(
+                &path,
+                // The length is `u64::MAX`: `len + 1` overflows.
+                format!(
+                    "{STORE_MAGIC}\nkind {}\nkey {:016x}\nsections 2\n\
+                     {name} 18446744073709551615\nab\n",
+                    kind.token(),
+                    key.hash(),
+                ),
+            )
+            .unwrap();
+            assert!(store.get_unit(&key).is_none());
+            assert!(store.get_module(&key).is_none());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

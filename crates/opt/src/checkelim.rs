@@ -1,8 +1,10 @@
 //! Analysis-driven check elimination — beyond what CSE can reach.
 //!
 //! CSE removes a `nullcheck`/`indexcheck` only when an *identical
-//! dominating check* exists. This pass consumes the sparse dataflow
-//! facts from `safetsa-analysis` to go further:
+//! dominating check* exists. This pass goes further. It consumes two
+//! analyses from `safetsa-analysis`, range and liveness, and no other;
+//! the `nullcheck` rewrite needs no analysis at all, only the type
+//! planes of the checked value's definition chain:
 //!
 //! * **`nullcheck` → `downcast`**: when the checked reference provably
 //!   carries a *safe-plane witness* — chasing its definition through
@@ -35,7 +37,7 @@
 //! pruned afterwards.
 
 use crate::fixup;
-use safetsa_analysis::{liveness, nullness, range, Nullity};
+use safetsa_analysis::{liveness, range};
 use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
@@ -52,16 +54,10 @@ pub struct CheckElimStats {
     pub null_converted: usize,
     /// Proven-in-bounds `indexcheck`s with dead results, deleted.
     pub index_deleted: usize,
-    /// `nullcheck`s whose operand is proven non-null at the check site.
-    pub null_proven: usize,
     /// `indexcheck`s proven in bounds at the check site.
     pub index_proven: usize,
-    /// Nullness facts computed (values with a fact).
-    pub nullness_facts: u64,
     /// Range facts computed.
     pub range_facts: u64,
-    /// Nullness fixpoint passes.
-    pub nullness_iterations: u64,
     /// Range fixpoint passes.
     pub range_iterations: u64,
 }
@@ -71,11 +67,8 @@ impl CheckElimStats {
     pub fn add(&mut self, o: &CheckElimStats) {
         self.null_converted += o.null_converted;
         self.index_deleted += o.index_deleted;
-        self.null_proven += o.null_proven;
         self.index_proven += o.index_proven;
-        self.nullness_facts += o.nullness_facts;
         self.range_facts += o.range_facts;
-        self.nullness_iterations += o.nullness_iterations;
         self.range_iterations += o.range_iterations;
     }
 
@@ -115,12 +108,9 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
     let Ok(cfg) = Cfg::build(f) else {
         return (f.clone(), stats);
     };
-    let nn = nullness::analyze(types, f, &cfg);
     let rg = range::analyze(types, f, &cfg);
     let lv = liveness::analyze(f, &cfg);
-    stats.nullness_facts = nn.facts_computed();
     stats.range_facts = rg.facts_computed();
-    stats.nullness_iterations = nn.iterations;
     stats.range_iterations = rg.iterations;
 
     // Protect handlers from losing their last exception edge (shared
@@ -154,9 +144,6 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
             let Instr::NullCheck { value, .. } = cur.block(b).instrs[k] else {
                 continue;
             };
-            if nn.at(value, b) == Nullity::NonNull {
-                stats.null_proven += 1;
-            }
             let Some(result) = cur.instr_result(b, k) else {
                 continue;
             };

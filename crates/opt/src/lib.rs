@@ -11,9 +11,10 @@
 //! * [`cse`] — dominator-scoped available-expression CSE with the `Mem`
 //!   pseudo-value for memory dependences (stores and calls define a new
 //!   memory state; loads key on the current one),
-//! * [`checkelim`] — dataflow-driven check elimination: nullness and
-//!   range facts from `safetsa-analysis` prove checks redundant that
-//!   CSE cannot reach (no dominating identical check required),
+//! * [`checkelim`] — check elimination beyond CSE's reach (no
+//!   dominating identical check required): safe-ref plane witnesses
+//!   retire `nullcheck`s, and range plus liveness facts from
+//!   `safetsa-analysis` delete dead proven `indexcheck`s,
 //! * [`loadfwd`] — redundant-load elimination and store-to-load
 //!   forwarding over the allocation-site alias/escape facts; strictly
 //!   stronger than CSE's `Mem` model (forwards stored values, keeps
@@ -79,7 +80,7 @@ pub struct Passes {
     pub constprop: bool,
     /// Common subexpression elimination (with `Mem`).
     pub cse: bool,
-    /// Dataflow-driven check elimination (nullness + range analysis).
+    /// Check elimination (safe-ref witnesses, range + liveness analysis).
     pub checkelim: bool,
     /// Alias/escape-driven load forwarding.
     pub loadfwd: bool,
@@ -303,10 +304,11 @@ pub fn optimize(m: &mut Module, passes: Passes, tm: &Telemetry) -> OptStats {
     stats
 }
 
-/// Records one [`OptStats`] into the `opt.*` counter plane. Key planes
-/// belonging to a pass are emitted only when that pass ran, so ablated
-/// configurations (and cached metric replays of them) carry exactly
-/// the keys of the passes they exercised.
+/// Records one [`OptStats`] into the `opt.*` and `analysis.*` counter
+/// planes. The loadfwd and dse key planes (including the alias and
+/// escape `analysis.*` keys loadfwd feeds) are emitted only when that
+/// pass is enabled; every other key is always emitted, zero when its
+/// pass is off.
 pub fn record_stats(stats: &OptStats, passes: &Passes, tm: &Telemetry) {
     if !tm.is_enabled() {
         return;
@@ -336,12 +338,6 @@ pub fn record_stats(stats: &OptStats, passes: &Passes, tm: &Telemetry) {
     let ce = &stats.checkelim;
     tm.add("opt.checkelim.null_converted", ce.null_converted as u64);
     tm.add("opt.checkelim.index_deleted", ce.index_deleted as u64);
-    tm.add("analysis.nullness.facts", ce.nullness_facts);
-    tm.add("analysis.nullness.checks_proven", ce.null_proven as u64);
-    tm.add(
-        "analysis.nullness.fixpoint_iterations",
-        ce.nullness_iterations,
-    );
     tm.add("analysis.range.facts", ce.range_facts);
     tm.add("analysis.range.checks_proven", ce.index_proven as u64);
     tm.add("analysis.range.fixpoint_iterations", ce.range_iterations);

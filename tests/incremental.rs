@@ -12,8 +12,11 @@
 //! 2. **Invalidation precision**: editing one method of a multi-method
 //!    file recompiles exactly that unit; edits to a class layout or the
 //!    class count invalidate the units that depend on them.
+//! 3. **Metric parity**: a cached compile, cold or warm, reports the
+//!    same counters as an uncached one, because a unit record carries
+//!    everything the original compilation counted.
 
-use safetsa::driver::store::{unit_plan, Store, StoreOptions};
+use safetsa::driver::store::{unit_plan, Store, StoreOptions, STORE_MAGIC};
 use safetsa::opt::Passes;
 use safetsa::Pipeline;
 use safetsa_codec::{decode_function_section, encode_function_section, encode_module};
@@ -188,9 +191,92 @@ fn pipeline_cache_recompiles_only_the_edited_unit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The counters of one compile that must not depend on the store:
+/// every counter except the `cache.*` plane and `_ns` timings, as
+/// sorted `name value` lines.
+fn store_independent_counters(tm: &Telemetry) -> Vec<String> {
+    tm.export_flat()
+        .lines()
+        .filter_map(|l| l.strip_prefix("c "))
+        .filter(|l| {
+            let name = l.split(' ').next().unwrap_or("");
+            !name.starts_with("cache.") && !name.ends_with("_ns")
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+/// Corpus-wide: an uncached compile, a cold cached compile and a warm
+/// cached compile encode the same bytes and export the same counters —
+/// reused units replay their stored stats, and no counter comes from
+/// work only one of the three paths does.
+#[test]
+fn cached_and_uncached_compiles_report_the_same_counters() {
+    let root = std::env::temp_dir().join(format!(
+        "safetsa-incr-parity-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    for entry in safetsa_bench::corpus() {
+        let dir = root.join(entry.name);
+        let compile = |p: Pipeline| {
+            let m = p.compile_source(entry.source).unwrap();
+            let counters = store_independent_counters(p.metrics());
+            (p.encode(&m).unwrap(), counters)
+        };
+        let cached = || {
+            Pipeline::new()
+                .telemetry(Telemetry::enabled())
+                .cache(&dir)
+                .unwrap()
+        };
+        let (bytes, counters) = compile(Pipeline::new().telemetry(Telemetry::enabled()));
+        assert!(
+            counters.iter().any(|l| l.starts_with("opt.")),
+            "{}: no opt counters exported",
+            entry.name
+        );
+        for (how, p) in [("cold", cached()), ("warm", cached())] {
+            let (b, c) = compile(p);
+            assert_eq!(b, bytes, "{}: {how} cached bytes differ", entry.name);
+            assert_eq!(c, counters, "{}: {how} cached counters differ", entry.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Rewrites every unit record in `dir` into the pre-`/3` layout: three
+/// sections (`section`, `stats`, `facts`) under `magic`. Returns how
+/// many records were rewritten.
+fn plant_old_layout_unit_records(dir: &std::path::Path, magic: &str) -> usize {
+    let header = format!("{STORE_MAGIC}\nkind unit\n");
+    let facts = "nullness_facts 1\nnullness_iterations 2\n";
+    let mut planted = 0;
+    for f in std::fs::read_dir(dir).unwrap() {
+        let path = f.unwrap().path();
+        let data = std::fs::read(&path).unwrap();
+        let Some(rest) = data.strip_prefix(header.as_bytes()) else {
+            continue;
+        };
+        // `rest` starts with the `key` line, then `sections 2`.
+        let key_end = rest.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let (key_line, rest) = rest.split_at(key_end);
+        let body = rest.strip_prefix(b"sections 2\n".as_slice()).unwrap();
+        let mut old = format!("{magic}\nkind unit\n").into_bytes();
+        old.extend_from_slice(key_line);
+        old.extend_from_slice(b"sections 3\n");
+        old.extend_from_slice(body);
+        old.extend_from_slice(format!("facts {}\n{facts}\n", facts.len()).as_bytes());
+        std::fs::write(&path, old).unwrap();
+        planted += 1;
+    }
+    planted
+}
+
 /// Store corruption and version skew all read as misses, never errors:
-/// truncated unit records, foreign files, and `safetsa-cache/1`
-/// leftovers.
+/// truncated unit records, foreign files, `safetsa-cache/1` leftovers,
+/// and unit records in the three-section `safetsa-cache/2` layout.
 #[test]
 fn corrupt_and_stale_entries_read_as_misses() {
     let dir = std::env::temp_dir().join(format!(
@@ -206,16 +292,16 @@ fn corrupt_and_stale_entries_read_as_misses() {
     std::fs::write(dir.join("0123456789abcdef.tsac"), b"safetsa-cache/1\nkey 0123456789abcdef\nbytes 3\nabcmetrics 0\n").unwrap();
     std::fs::write(dir.join("README.txt"), b"not a cache entry").unwrap();
 
-    let p = Pipeline::new().telemetry(Telemetry::enabled());
+    let p = Pipeline::new();
+    let cold = p
+        .encode(&p.compile_source(TWO_METHODS_V1).unwrap())
+        .unwrap();
     let warm = Pipeline::new()
         .telemetry(Telemetry::enabled())
         .cache(&dir)
         .unwrap();
     let m = warm.compile_source(TWO_METHODS_V1).unwrap();
-    assert_eq!(
-        warm.encode(&m).unwrap(),
-        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap()).unwrap()
-    );
+    assert_eq!(warm.encode(&m).unwrap(), cold);
     assert_eq!(warm.metrics().counter("cache.unit.misses"), Some(3));
 
     // Truncate every stored record: the next run misses everything and
@@ -232,10 +318,23 @@ fn corrupt_and_stale_entries_read_as_misses() {
         .cache(&dir)
         .unwrap();
     let m2 = again.compile_source(TWO_METHODS_V1).unwrap();
-    assert_eq!(
-        again.encode(&m2).unwrap(),
-        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap()).unwrap()
-    );
+    assert_eq!(again.encode(&m2).unwrap(), cold);
     assert_eq!(again.metrics().counter("cache.unit.hits"), Some(0));
+
+    // Unit records in the old three-section layout miss, whether they
+    // carry the old magic or the current one; each unit recompiles and
+    // the output is byte-identical to a cold build.
+    for magic in ["safetsa-cache/2", STORE_MAGIC] {
+        assert_eq!(plant_old_layout_unit_records(&dir, magic), 3);
+        let old = Pipeline::new()
+            .telemetry(Telemetry::enabled())
+            .cache(&dir)
+            .unwrap();
+        let m3 = old.compile_source(TWO_METHODS_V1).unwrap();
+        assert_eq!(old.encode(&m3).unwrap(), cold, "{magic}");
+        let misses = old.metrics().counter("cache.unit.misses");
+        assert_eq!(old.metrics().counter("cache.unit.hits"), Some(0), "{magic}");
+        assert_eq!(misses, Some(3), "{magic}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
