@@ -25,7 +25,7 @@ use std::time::Instant;
 
 /// Renders a caught panic payload as a message (the two shapes `panic!`
 /// actually produces, with a fallback for exotic payloads).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

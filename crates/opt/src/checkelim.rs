@@ -36,7 +36,7 @@
 //! removed (the rewrite is skipped), and dangling phi arguments are
 //! pruned afterwards.
 
-use crate::fixup;
+use crate::fixup::{self, EdgeBudget};
 use safetsa_analysis::{liveness, range};
 use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
@@ -113,26 +113,9 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
     stats.range_facts = rg.facts_computed();
     stats.range_iterations = rg.iterations;
 
-    // Protect handlers from losing their last exception edge (shared
-    // bookkeeping with CSE): each removed check takes its edge along.
-    let exc_targets = fixup::exception_targets(f);
-    let mut edges_per_handler: HashMap<BlockId, usize> = HashMap::new();
-    for h in exc_targets.values() {
-        *edges_per_handler.entry(*h).or_insert(0) += 1;
-    }
-    let mut take_edge = |b: BlockId, k: usize| -> bool {
-        match exc_targets.get(&(b, k)) {
-            Some(h) => {
-                let cnt = edges_per_handler.get_mut(h).expect("edge counted");
-                if *cnt <= 1 {
-                    return false;
-                }
-                *cnt -= 1;
-                true
-            }
-            None => true,
-        }
-    };
+    // Protect handlers from losing their last exception edge: each
+    // removed check takes its edge along.
+    let mut edges = EdgeBudget::new(f, &cfg);
 
     let mut cur = f.clone();
     let mut edges_removed = false;
@@ -151,7 +134,7 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
             let Some(w) = safe_witness(types, &cur, value, target) else {
                 continue;
             };
-            if !take_edge(b, k) {
+            if !edges.take(b, k) {
                 continue;
             }
             let from = cur.value_ty(w);
@@ -186,7 +169,7 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
                 Some(r) => !lv.is_live(r) && uses.get(&r).copied().unwrap_or(0) == 0,
                 None => true,
             };
-            if !dead || !take_edge(b, k) {
+            if !dead || !edges.take(b, k) {
                 continue;
             }
             rw.delete_instrs.push((b, k));

@@ -20,7 +20,7 @@
 //! (Appendix A binds safe indices to array values, whose length is
 //! immutable).
 
-use crate::fixup;
+use crate::fixup::{self, EdgeBudget};
 use crate::MemModel;
 use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
@@ -68,11 +68,7 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
     };
     let dom = DomTree::build(&cfg);
     // Protect handlers from losing their last exception edge.
-    let exc_targets = fixup::exception_targets(f);
-    let mut edges_per_handler: HashMap<BlockId, usize> = HashMap::new();
-    for h in exc_targets.values() {
-        *edges_per_handler.entry(*h).or_insert(0) += 1;
-    }
+    let edges = EdgeBudget::new(f, &cfg);
 
     let mut rw = Rewrite::default();
     let mut removed = 0;
@@ -87,8 +83,7 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
         removed: usize,
         mem_counter: u64,
         model: MemModel,
-        exc_targets: HashMap<(BlockId, usize), BlockId>,
-        edges_per_handler: HashMap<BlockId, usize>,
+        edges: EdgeBudget,
     }
 
     /// The memory state: a global epoch plus (in the field-partitioned
@@ -168,16 +163,8 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
                 let result = self.f.instr_result(b, k);
                 match self.avail.get(&key) {
                     Some(&prior) => {
-                        // Deleting the last exception edge of a handler
-                        // would orphan it; skip such deletions.
-                        if instr.is_exceptional() {
-                            if let Some(h) = self.exc_targets.get(&(b, k)) {
-                                let cnt = self.edges_per_handler.get_mut(h).expect("edge counted");
-                                if *cnt <= 1 {
-                                    continue;
-                                }
-                                *cnt -= 1;
-                            }
+                        if instr.is_exceptional() && !self.edges.take(b, k) {
+                            continue;
                         }
                         if let Some(result) = result {
                             self.rw.replace.insert(result, prior);
@@ -212,8 +199,7 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
         removed: 0,
         mem_counter: 0,
         model,
-        exc_targets,
-        edges_per_handler,
+        edges,
     };
     if !dom.preorder.is_empty() {
         w.visit(dom.preorder[0], &Mem::default());

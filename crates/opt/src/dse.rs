@@ -81,7 +81,7 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, DseStats) {
     };
     let al = alias::analyze(types, f, &cfg);
     let esc = escape::analyze(f, &cfg, &al);
-    let handlers = fixup::exception_targets(f);
+    let handlers = fixup::exception_targets(f, &cfg);
 
     // Whether a location based on `base` is invisible outside the
     // function: points-to set complete and every site `NoEscape`.

@@ -2,10 +2,10 @@
 //! some exception edges disappear and handler phis must drop the
 //! corresponding arguments.
 
-use safetsa_core::cfg::Cfg;
+use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::function::Function;
 use safetsa_core::value::BlockId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Retains only phi arguments whose predecessor edge still exists.
 /// Call after a rewrite that deleted exceptional instructions.
@@ -28,23 +28,55 @@ pub fn prune_phi_args(f: &mut Function) {
 
 /// Maps each `(block, instr index)` of an exceptional instruction to
 /// its handler-entry block, if the instruction sits in a `try` region.
-pub fn exception_targets(f: &Function) -> std::collections::HashMap<(BlockId, usize), BlockId> {
-    let mut out = std::collections::HashMap::new();
-    if let Ok(cfg) = Cfg::build(f) {
-        for bi in 0..f.blocks.len() {
-            let h = BlockId(bi as u32);
-            for e in cfg.preds_of(h) {
-                if let safetsa_core::cfg::EdgeKind::Exception { upto } = e.kind {
-                    // The edge's source instruction is the exceptional
-                    // instruction at index `upto` (or a throw terminator
-                    // when upto equals the instruction count).
-                    let idx = upto as usize;
-                    if idx < f.block(e.from).instrs.len() {
-                        out.insert((e.from, idx), h);
-                    }
+pub fn exception_targets(f: &Function, cfg: &Cfg) -> HashMap<(BlockId, usize), BlockId> {
+    let mut out = HashMap::new();
+    for bi in 0..f.blocks.len() {
+        let h = BlockId(bi as u32);
+        for e in cfg.preds_of(h) {
+            if let EdgeKind::Exception { upto } = e.kind {
+                // The edge's source instruction is the exceptional
+                // instruction at index `upto` (or a throw terminator
+                // when upto equals the instruction count).
+                let idx = upto as usize;
+                if idx < f.block(e.from).instrs.len() {
+                    out.insert((e.from, idx), h);
                 }
             }
         }
     }
     out
+}
+
+/// The exception edges a pass may still remove: removing an exceptional
+/// instruction takes its edge to the handler along, and a handler must
+/// never lose its last edge (it would be orphaned).
+pub struct EdgeBudget {
+    targets: HashMap<(BlockId, usize), BlockId>,
+    left: HashMap<BlockId, usize>,
+}
+
+impl EdgeBudget {
+    /// Counts the exception edges of every handler in `f`.
+    pub fn new(f: &Function, cfg: &Cfg) -> Self {
+        let targets = exception_targets(f, cfg);
+        let mut left = HashMap::new();
+        for h in targets.values() {
+            *left.entry(*h).or_insert(0) += 1;
+        }
+        EdgeBudget { targets, left }
+    }
+
+    /// Whether the exceptional instruction at `(b, k)` may be removed;
+    /// if so, its edge is spent.
+    pub fn take(&mut self, b: BlockId, k: usize) -> bool {
+        let Some(h) = self.targets.get(&(b, k)) else {
+            return true;
+        };
+        let cnt = self.left.get_mut(h).expect("edge counted");
+        if *cnt <= 1 {
+            return false;
+        }
+        *cnt -= 1;
+        true
+    }
 }

@@ -37,6 +37,7 @@ use crate::flight::{FlightRecord, FlightRecorder};
 use crate::protocol::{self, Op, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::ServeStats;
+use safetsa_driver::batch::panic_message;
 use safetsa_driver::store::{CacheKey, ModuleRecord, RecordKind, Store, StoreOptions};
 use safetsa_driver::{passes_fingerprint, Error, Pipeline};
 use safetsa_opt::Passes;
@@ -694,16 +695,6 @@ fn admit(req: Request, out: &Responder, shared: &Arc<Shared>) {
                 ),
             );
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

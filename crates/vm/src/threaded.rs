@@ -45,7 +45,9 @@ use safetsa_core::cst::Cst;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
 use safetsa_core::module::FuncId;
-use safetsa_core::primops;
+use safetsa_core::primops::{
+    self, as_c, as_d, as_f, as_i, as_j, as_z, of_c, of_d, of_f, of_i, of_j, of_z, BinFn, Eval, UnFn,
+};
 use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, Literal, ValueId};
 use safetsa_rt::heap::{ArrData, Obj};
@@ -63,13 +65,6 @@ const NO_SLOT: Slot = u32::MAX;
 /// Every host intrinsic takes at most this many arguments; call sites
 /// stage intrinsic arguments in a fixed array of this size.
 const MAX_INTRINSIC_ARGS: usize = 4;
-
-/// Unary primitive operation, pre-resolved to a function pointer (no
-/// unary primitive can trap).
-type PrimFn1 = fn(u64) -> u64;
-
-/// Binary primitive operation, pre-resolved to a function pointer.
-type PrimFn2 = fn(u64, u64) -> Result<u64, Trap>;
 
 /// The register plane of a frame slot or array element: which of the
 /// untagged `u64` encodings the slot holds.
@@ -113,72 +108,13 @@ impl Kind {
             TypeKind::Class(_) | TypeKind::Array(_) | TypeKind::SafeRef(_) => Kind::R,
         }
     }
-
-    fn of_literal(lit: &Literal) -> Kind {
-        match lit {
-            Literal::Bool(_) => Kind::Z,
-            Literal::Char(_) => Kind::C,
-            Literal::Int(_) => Kind::I,
-            Literal::Long(_) => Kind::J,
-            Literal::Float(_) => Kind::F,
-            Literal::Double(_) => Kind::D,
-            Literal::Str(_) | Literal::Null => Kind::R,
-        }
-    }
 }
 
-// Slot decoders and encoders, one pair per plane.
-#[inline]
-fn as_z(b: u64) -> bool {
-    b != 0
-}
-#[inline]
-fn as_c(b: u64) -> u16 {
-    b as u16
-}
-#[inline]
-fn as_i(b: u64) -> i32 {
-    b as u32 as i32
-}
-#[inline]
-fn as_j(b: u64) -> i64 {
-    b as i64
-}
-#[inline]
-fn as_f(b: u64) -> f32 {
-    f32::from_bits(b as u32)
-}
-#[inline]
-fn as_d(b: u64) -> f64 {
-    f64::from_bits(b)
-}
+// Slot codec of the reference plane; the primitive planes' pairs live
+// beside the primitive-operation tables in `primops`.
 #[inline]
 fn as_ref(b: u64) -> Option<HeapRef> {
     b.checked_sub(1).map(|n| HeapRef(n as u32))
-}
-#[inline]
-fn of_z(x: bool) -> u64 {
-    u64::from(x)
-}
-#[inline]
-fn of_c(x: u16) -> u64 {
-    u64::from(x)
-}
-#[inline]
-fn of_i(x: i32) -> u64 {
-    u64::from(x as u32)
-}
-#[inline]
-fn of_j(x: i64) -> u64 {
-    x as u64
-}
-#[inline]
-fn of_f(x: f32) -> u64 {
-    u64::from(x.to_bits())
-}
-#[inline]
-fn of_d(x: f64) -> u64 {
-    x.to_bits()
 }
 #[inline]
 fn of_ref(r: Option<HeapRef>) -> u64 {
@@ -281,128 +217,6 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// Unary primitive decode table with Java semantics (wrapping integer
-/// arithmetic, `as`-conversions); `None` for a name the trusted
-/// `primops` tables never produce.
-fn un_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn1> {
-    use PrimKind::*;
-    let f: PrimFn1 = match (kind, name) {
-        (Bool, "not") => |a| of_z(!as_z(a)),
-        (Char, "to_int") => |a| of_i(as_c(a) as i32),
-        (Int, "neg") => |a| of_i(as_i(a).wrapping_neg()),
-        (Int, "not") => |a| of_i(!as_i(a)),
-        (Int, "to_char") => |a| of_c(as_i(a) as u16),
-        (Int, "to_long") => |a| of_j(as_i(a) as i64),
-        (Int, "to_float") => |a| of_f(as_i(a) as f32),
-        (Int, "to_double") => |a| of_d(as_i(a) as f64),
-        (Long, "neg") => |a| of_j(as_j(a).wrapping_neg()),
-        (Long, "not") => |a| of_j(!as_j(a)),
-        (Long, "to_int") => |a| of_i(as_j(a) as i32),
-        (Long, "to_float") => |a| of_f(as_j(a) as f32),
-        (Long, "to_double") => |a| of_d(as_j(a) as f64),
-        (Float, "neg") => |a| of_f(-as_f(a)),
-        (Float, "to_int") => |a| of_i(as_f(a) as i32),
-        (Float, "to_long") => |a| of_j(as_f(a) as i64),
-        (Float, "to_double") => |a| of_d(as_f(a) as f64),
-        (Double, "neg") => |a| of_d(-as_d(a)),
-        (Double, "to_int") => |a| of_i(as_d(a) as i32),
-        (Double, "to_long") => |a| of_j(as_d(a) as i64),
-        (Double, "to_float") => |a| of_f(as_d(a) as f32),
-        _ => return None,
-    };
-    Some(f)
-}
-
-/// Binary primitive decode table with Java semantics (div/rem trap
-/// DivByZero, int shifts mask to 5 bits, long shifts take an `int`
-/// amount masked to 6 bits).
-fn bin_fn(kind: PrimKind, name: &'static str) -> Option<PrimFn2> {
-    use PrimKind::*;
-    let f: PrimFn2 = match (kind, name) {
-        (Bool, "and") => |a, b| Ok(of_z(as_z(a) & as_z(b))),
-        (Bool, "or") => |a, b| Ok(of_z(as_z(a) | as_z(b))),
-        (Bool, "xor") => |a, b| Ok(of_z(as_z(a) ^ as_z(b))),
-        (Bool, "eq") => |a, b| Ok(of_z(as_z(a) == as_z(b))),
-        (Bool, "ne") => |a, b| Ok(of_z(as_z(a) != as_z(b))),
-        (Char, "eq") => |a, b| Ok(of_z(as_c(a) == as_c(b))),
-        (Char, "ne") => |a, b| Ok(of_z(as_c(a) != as_c(b))),
-        (Char, "lt") => |a, b| Ok(of_z(as_c(a) < as_c(b))),
-        (Char, "le") => |a, b| Ok(of_z(as_c(a) <= as_c(b))),
-        (Char, "gt") => |a, b| Ok(of_z(as_c(a) > as_c(b))),
-        (Char, "ge") => |a, b| Ok(of_z(as_c(a) >= as_c(b))),
-        (Int, "add") => |a, b| Ok(of_i(as_i(a).wrapping_add(as_i(b)))),
-        (Int, "sub") => |a, b| Ok(of_i(as_i(a).wrapping_sub(as_i(b)))),
-        (Int, "mul") => |a, b| Ok(of_i(as_i(a).wrapping_mul(as_i(b)))),
-        (Int, "div") => |a, b| match as_i(b) {
-            0 => Err(Trap::DivByZero),
-            y => Ok(of_i(as_i(a).wrapping_div(y))),
-        },
-        (Int, "rem") => |a, b| match as_i(b) {
-            0 => Err(Trap::DivByZero),
-            y => Ok(of_i(as_i(a).wrapping_rem(y))),
-        },
-        (Int, "and") => |a, b| Ok(of_i(as_i(a) & as_i(b))),
-        (Int, "or") => |a, b| Ok(of_i(as_i(a) | as_i(b))),
-        (Int, "xor") => |a, b| Ok(of_i(as_i(a) ^ as_i(b))),
-        (Int, "shl") => |a, b| Ok(of_i(as_i(a).wrapping_shl(as_i(b) as u32 & 31))),
-        (Int, "shr") => |a, b| Ok(of_i(as_i(a).wrapping_shr(as_i(b) as u32 & 31))),
-        (Int, "ushr") => |a, b| Ok(of_i(((as_i(a) as u32) >> (as_i(b) as u32 & 31)) as i32)),
-        (Int, "eq") => |a, b| Ok(of_z(as_i(a) == as_i(b))),
-        (Int, "ne") => |a, b| Ok(of_z(as_i(a) != as_i(b))),
-        (Int, "lt") => |a, b| Ok(of_z(as_i(a) < as_i(b))),
-        (Int, "le") => |a, b| Ok(of_z(as_i(a) <= as_i(b))),
-        (Int, "gt") => |a, b| Ok(of_z(as_i(a) > as_i(b))),
-        (Int, "ge") => |a, b| Ok(of_z(as_i(a) >= as_i(b))),
-        (Long, "add") => |a, b| Ok(of_j(as_j(a).wrapping_add(as_j(b)))),
-        (Long, "sub") => |a, b| Ok(of_j(as_j(a).wrapping_sub(as_j(b)))),
-        (Long, "mul") => |a, b| Ok(of_j(as_j(a).wrapping_mul(as_j(b)))),
-        (Long, "div") => |a, b| match as_j(b) {
-            0 => Err(Trap::DivByZero),
-            y => Ok(of_j(as_j(a).wrapping_div(y))),
-        },
-        (Long, "rem") => |a, b| match as_j(b) {
-            0 => Err(Trap::DivByZero),
-            y => Ok(of_j(as_j(a).wrapping_rem(y))),
-        },
-        (Long, "and") => |a, b| Ok(of_j(as_j(a) & as_j(b))),
-        (Long, "or") => |a, b| Ok(of_j(as_j(a) | as_j(b))),
-        (Long, "xor") => |a, b| Ok(of_j(as_j(a) ^ as_j(b))),
-        (Long, "shl") => |a, b| Ok(of_j(as_j(a).wrapping_shl(as_i(b) as u32 & 63))),
-        (Long, "shr") => |a, b| Ok(of_j(as_j(a).wrapping_shr(as_i(b) as u32 & 63))),
-        (Long, "ushr") => |a, b| Ok(of_j(((as_j(a) as u64) >> (as_i(b) as u32 & 63)) as i64)),
-        (Long, "eq") => |a, b| Ok(of_z(as_j(a) == as_j(b))),
-        (Long, "ne") => |a, b| Ok(of_z(as_j(a) != as_j(b))),
-        (Long, "lt") => |a, b| Ok(of_z(as_j(a) < as_j(b))),
-        (Long, "le") => |a, b| Ok(of_z(as_j(a) <= as_j(b))),
-        (Long, "gt") => |a, b| Ok(of_z(as_j(a) > as_j(b))),
-        (Long, "ge") => |a, b| Ok(of_z(as_j(a) >= as_j(b))),
-        (Float, "add") => |a, b| Ok(of_f(as_f(a) + as_f(b))),
-        (Float, "sub") => |a, b| Ok(of_f(as_f(a) - as_f(b))),
-        (Float, "mul") => |a, b| Ok(of_f(as_f(a) * as_f(b))),
-        (Float, "div") => |a, b| Ok(of_f(as_f(a) / as_f(b))),
-        (Float, "rem") => |a, b| Ok(of_f(as_f(a) % as_f(b))),
-        (Float, "eq") => |a, b| Ok(of_z(as_f(a) == as_f(b))),
-        (Float, "ne") => |a, b| Ok(of_z(as_f(a) != as_f(b))),
-        (Float, "lt") => |a, b| Ok(of_z(as_f(a) < as_f(b))),
-        (Float, "le") => |a, b| Ok(of_z(as_f(a) <= as_f(b))),
-        (Float, "gt") => |a, b| Ok(of_z(as_f(a) > as_f(b))),
-        (Float, "ge") => |a, b| Ok(of_z(as_f(a) >= as_f(b))),
-        (Double, "add") => |a, b| Ok(of_d(as_d(a) + as_d(b))),
-        (Double, "sub") => |a, b| Ok(of_d(as_d(a) - as_d(b))),
-        (Double, "mul") => |a, b| Ok(of_d(as_d(a) * as_d(b))),
-        (Double, "div") => |a, b| Ok(of_d(as_d(a) / as_d(b))),
-        (Double, "rem") => |a, b| Ok(of_d(as_d(a) % as_d(b))),
-        (Double, "eq") => |a, b| Ok(of_z(as_d(a) == as_d(b))),
-        (Double, "ne") => |a, b| Ok(of_z(as_d(a) != as_d(b))),
-        (Double, "lt") => |a, b| Ok(of_z(as_d(a) < as_d(b))),
-        (Double, "le") => |a, b| Ok(of_z(as_d(a) <= as_d(b))),
-        (Double, "gt") => |a, b| Ok(of_z(as_d(a) > as_d(b))),
-        (Double, "ge") => |a, b| Ok(of_z(as_d(a) >= as_d(b))),
-        _ => return None,
-    };
-    Some(f)
-}
-
 /// A resolved call target: a guest function body or a host intrinsic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CallTarget {
@@ -481,10 +295,10 @@ pub(crate) enum Op {
     /// Statically safe cast (downcast): a slot copy.
     Copy { src: Slot, dst: Slot },
     /// Unary primitive.
-    Prim1 { f: PrimFn1, a: Slot, dst: Slot },
+    Prim1 { f: UnFn, a: Slot, dst: Slot },
     /// Binary primitive.
     Prim2 {
-        f: PrimFn2,
+        f: BinFn,
         a: Slot,
         b: Slot,
         dst: Slot,
@@ -492,11 +306,11 @@ pub(crate) enum Op {
     /// Fused pair of binary primitives (sequential: the first result is
     /// written before the second op's operands are read).
     Prim2Pair {
-        f1: PrimFn2,
+        f1: BinFn,
         a1: Slot,
         b1: Slot,
         d1: Slot,
-        f2: PrimFn2,
+        f2: BinFn,
         a2: Slot,
         b2: Slot,
         d2: Slot,
@@ -692,24 +506,20 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
     let mut strings = Vec::new();
     for (i, c) in f.consts.iter().enumerate() {
         let slot = f.const_value(i).0;
-        if fl.kind(ValueId(slot)) != Some(Kind::of_literal(&c.lit)) {
+        let (kind, bits) = match primops::literal_to_bits(&c.lit) {
+            Some((k, bits)) => (Kind::of_prim(k), bits),
+            None => {
+                if let Literal::Str(_) = c.lit {
+                    strings.push((slot, c.lit.clone()));
+                }
+                (Kind::R, 0)
+            }
+        };
+        if fl.kind(ValueId(slot)) != Some(kind) {
             fl.code.push(Op::Fail {
                 msg: "constant does not match its plane".into(),
             });
         }
-        let bits = match &c.lit {
-            Literal::Bool(x) => of_z(*x),
-            Literal::Char(x) => of_c(*x),
-            Literal::Int(x) => of_i(*x),
-            Literal::Long(x) => of_j(*x),
-            Literal::Float(x) => of_f(*x),
-            Literal::Double(x) => of_d(*x),
-            Literal::Null => 0,
-            Literal::Str(_) => {
-                strings.push((slot, c.lit.clone()));
-                0
-            }
-        };
         if let Some(s) = template.get_mut(slot as usize) {
             *s = bits;
         }
@@ -1285,25 +1095,18 @@ impl<'a, 'm> Flattener<'a, 'm> {
                         };
                     }
                 }
-                if desc.params.len() == 1 {
-                    match un_fn(kind, desc.name) {
-                        Some(f) => Op::Prim1 {
-                            f,
-                            a: args[0].0,
-                            dst,
-                        },
-                        None => fail("unknown unary primop"),
-                    }
-                } else {
-                    match bin_fn(kind, desc.name) {
-                        Some(f) => Op::Prim2 {
-                            f,
-                            a: args[0].0,
-                            b: args[1].0,
-                            dst,
-                        },
-                        None => fail("unknown binary primop"),
-                    }
+                match desc.eval {
+                    Eval::Un(f) => Op::Prim1 {
+                        f,
+                        a: args[0].0,
+                        dst,
+                    },
+                    Eval::Bin(f) => Op::Prim2 {
+                        f,
+                        a: args[0].0,
+                        b: args[1].0,
+                        dst,
+                    },
                 }
             }
             Instr::NullCheck { value, .. } => Op::NullCheck { v: value.0, dst },
@@ -1741,12 +1544,12 @@ impl<'m> Vm<'m> {
                         continue 'l;
                     }
                     Op::Prim2 { f, a, b, dst } => match f(vals[*a as usize], vals[*b as usize]) {
-                        Ok(v) => {
+                        Some(v) => {
                             vals[*dst as usize] = v;
                             pc += 1;
                             continue 'l;
                         }
-                        Err(t) => break 'op t,
+                        None => break 'op Trap::DivByZero,
                     },
                     Op::Prim2Pair {
                         f1,
@@ -1759,12 +1562,12 @@ impl<'m> Vm<'m> {
                         d2,
                     } => {
                         match f1(vals[*a1 as usize], vals[*b1 as usize]) {
-                            Ok(v) => vals[*d1 as usize] = v,
-                            Err(t) => break 'op t,
+                            Some(v) => vals[*d1 as usize] = v,
+                            None => break 'op Trap::DivByZero,
                         }
                         match f2(vals[*a2 as usize], vals[*b2 as usize]) {
-                            Ok(v) => vals[*d2 as usize] = v,
-                            Err(t) => break 'op t,
+                            Some(v) => vals[*d2 as usize] = v,
+                            None => break 'op Trap::DivByZero,
                         }
                         if self.collect_stats {
                             *self.stats.fused.entry("primitive>primitive").or_insert(0) += 1;

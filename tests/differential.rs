@@ -726,3 +726,170 @@ fn labeled_while_loops() {
         "A.main",
     );
 }
+
+/// Every non-exceptional row of every `primops` table, run as
+/// literal-only expressions over edge operands: constprop must fold
+/// each one away in the optimized module (through the row's own
+/// evaluator), and the baseline interpreter, which keeps its own copy
+/// of the semantics, must print the same values.
+#[test]
+fn primop_rows_fold_to_the_baseline_value() {
+    use safetsa_core::instr::Instr;
+    use safetsa_core::primops;
+    use safetsa_core::types::{PrimKind, TypeKind};
+
+    // Rows no Java expression lowers to: `char` operands are promoted
+    // to `int` before any comparison.
+    const NOT_EMITTED: &[(PrimKind, &str)] = &[
+        (PrimKind::Char, "eq"),
+        (PrimKind::Char, "ne"),
+        (PrimKind::Char, "lt"),
+        (PrimKind::Char, "le"),
+        (PrimKind::Char, "gt"),
+        (PrimKind::Char, "ge"),
+    ];
+    let operands = |kind: PrimKind| -> &[&str] {
+        match kind {
+            PrimKind::Bool => &["true", "false"],
+            PrimKind::Char => &["'\\u0000'", "'a'", "'\\uffff'"],
+            PrimKind::Int => &[
+                "0x80000000",
+                "0x7fffffff",
+                "0",
+                "0xffffffff",
+                "1",
+                "31",
+                "32",
+                "63",
+                "64",
+            ],
+            PrimKind::Long => &[
+                "0x8000000000000000L",
+                "0x7fffffffffffffffL",
+                "0L",
+                "0xffffffffffffffffL",
+                "1L",
+                "32L",
+                "64L",
+            ],
+            PrimKind::Float => &[
+                "(0.0f / 0.0f)",
+                "-0.0f",
+                "0.0f",
+                "(1.0f / 0.0f)",
+                "(-1.0f / 0.0f)",
+                "3.4028235e38f",
+                "-1.5f",
+                "3e9f",
+                "-1e19f",
+            ],
+            PrimKind::Double => &[
+                "(0.0 / 0.0)",
+                "-0.0",
+                "0.0",
+                "(1.0 / 0.0)",
+                "(-1.0 / 0.0)",
+                "1.7976931348623157e308",
+                "-1.5",
+                "3e9",
+                "-1e19",
+            ],
+        }
+    };
+    let syntax = |kind: PrimKind, name: &str| -> String {
+        let binary = |op: &str| format!("({{a}} {op} {{b}})");
+        match name {
+            "add" => binary("+"),
+            "sub" => binary("-"),
+            "mul" => binary("*"),
+            "div" => binary("/"),
+            "rem" => binary("%"),
+            "and" => binary("&"),
+            "or" => binary("|"),
+            "xor" => binary("^"),
+            "shl" => binary("<<"),
+            "shr" => binary(">>"),
+            "ushr" => binary(">>>"),
+            "eq" => binary("=="),
+            "ne" => binary("!="),
+            "lt" => binary("<"),
+            "le" => binary("<="),
+            "gt" => binary(">"),
+            "ge" => binary(">="),
+            // Parenthesized, or the parser folds `-literal` itself.
+            "neg" => "(-({a}))".into(),
+            "not" if kind == PrimKind::Bool => "(!{a})".into(),
+            "not" => "(~{a})".into(),
+            _ => match name.strip_prefix("to_") {
+                Some(ty) => format!("(({ty}) {{a}})"),
+                None => panic!("{kind:?}.{name}: no Java syntax for this row"),
+            },
+        }
+    };
+    let mut swept = 0;
+    for kind in PrimKind::ALL {
+        for (i, row) in primops::ops_of(kind).iter().enumerate() {
+            if row.exceptional {
+                continue;
+            }
+            let mut body = String::new();
+            let planes: Vec<&[&str]> = row.params.iter().map(|&p| operands(p)).collect();
+            let pairs: Vec<(&str, &str)> = match planes[..] {
+                [a] => a.iter().map(|&x| (x, "")).collect(),
+                [a, b] => a
+                    .iter()
+                    .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+                    .collect(),
+                _ => panic!("{kind:?}.{}: arity {}", row.name, row.params.len()),
+            };
+            let template = syntax(kind, row.name);
+            for (a, b) in pairs {
+                let e = template.replace("{a}", a).replace("{b}", b);
+                body.push_str(&format!("Sys.println({e});\n"));
+            }
+            let src = format!("class P {{ static void main() {{\n{body}}} }}");
+            let lowered = lower_program(&compile(&src).unwrap_or_else(|e| panic!("{e}\n{src}")))
+                .expect("ssa lowering")
+                .module;
+            let instrs = |m: &safetsa_core::Module| -> Vec<Instr> {
+                m.functions
+                    .iter()
+                    .flat_map(|f| f.blocks.iter().flat_map(|b| b.instrs.clone()))
+                    .collect()
+            };
+            let emitted = instrs(&lowered).iter().any(|instr| match instr {
+                Instr::Primitive { ty, op, .. } => {
+                    lowered.types.kind(*ty) == TypeKind::Prim(kind) && op.index() == i
+                }
+                _ => false,
+            });
+            let listed = NOT_EMITTED.contains(&(kind, row.name));
+            assert_eq!(
+                emitted, !listed,
+                "{kind:?}.{}: emitted={emitted} but NOT_EMITTED lists it={listed}",
+                row.name
+            );
+            if listed {
+                continue;
+            }
+            let mut optimized = lowered.clone();
+            safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
+            let left: Vec<_> = instrs(&optimized)
+                .into_iter()
+                .filter(|i| matches!(i, Instr::Primitive { .. } | Instr::XPrimitive { .. }))
+                .collect();
+            assert!(
+                left.is_empty(),
+                "{kind:?}.{}: not folded: {left:?}",
+                row.name
+            );
+            differential(&src, "P.main");
+            swept += 1;
+        }
+    }
+    let rows: usize = PrimKind::ALL
+        .iter()
+        .map(|&k| primops::ops_of(k).iter().filter(|r| !r.exceptional).count())
+        .sum();
+    assert_eq!(swept + NOT_EMITTED.len(), rows, "every row swept or listed");
+}
