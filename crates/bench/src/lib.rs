@@ -2,18 +2,25 @@
 //!
 //! The evaluation harness: the benchmark corpus (stand-ins for the
 //! paper's `sun.tools.javac`/`sun.math`/Linpack classes — see
-//! DESIGN.md), the measurement pipeline, and the binaries that
-//! regenerate the paper's tables:
+//! DESIGN.md) and one deterministic per-program record,
+//! [`record_program`]. `bench_report` sweeps the corpus into those
+//! records and prints the paper's tables as views over them:
 //!
-//! * `cargo run -p safetsa-bench --bin fig5` — Figure 5 (file sizes and
-//!   instruction counts: Java bytecode vs SafeTSA vs optimized SafeTSA)
-//! * `cargo run -p safetsa-bench --bin fig6` — Figure 6 (phi-, null-
-//!   check and array-check instructions before/after optimization)
-//! * `cargo run -p safetsa-bench --bin ablation` — §8's per-pass
-//!   contribution breakdown (constant propagation / CSE / DCE)
-//! * `cargo run -p safetsa-bench --bin verify_cost` — §9's
-//!   verification-cost comparison (SafeTSA decode+verify vs JVM-style
-//!   dataflow verification)
+//! * Figure 5 — file sizes and instruction counts (Java bytecode vs
+//!   SafeTSA vs optimized SafeTSA);
+//! * Figure 6 — phi-, null-check and array-check instructions
+//!   before/after optimization;
+//! * §8 — the per-pass ablation (instruction+phi count per pass
+//!   configuration);
+//! * §9 — verification work (operands checked by SafeTSA's linear
+//!   verifier vs iterations of JVM-style dataflow verification).
+//!
+//! ```text
+//! cargo run --release -p safetsa-bench --bin bench_report
+//! ```
+//!
+//! The records hold counters only. Wall time is `perfbench`'s job
+//! (the repository benchmark), which reports it with its spread.
 
 #![warn(missing_docs)]
 
@@ -26,9 +33,9 @@ use safetsa_core::Module;
 use safetsa_driver::batch::{run_batch, BatchInput, BatchOptions, BatchReport};
 use safetsa_driver::{passes_fingerprint, Pipeline as DriverPipeline};
 use safetsa_frontend::hir::Program;
-use safetsa_opt::{OptStats, Passes};
+use safetsa_opt::Passes;
 use safetsa_rt::Value;
-use safetsa_ssa::{lower_program, FnStats};
+use safetsa_ssa::lower_program;
 use safetsa_telemetry::{Json, Telemetry};
 use std::path::Path;
 
@@ -84,34 +91,8 @@ pub fn corpus() -> Vec<CorpusEntry> {
     ]
 }
 
-/// All measurements for one corpus program.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Row label.
-    pub name: &'static str,
-    /// Class-file bytes (baseline).
-    pub bytecode_size: usize,
-    /// SafeTSA wire bytes, unoptimized.
-    pub safetsa_size: usize,
-    /// SafeTSA wire bytes after producer-side optimization.
-    pub safetsa_opt_size: usize,
-    /// Baseline instruction count.
-    pub bytecode_instrs: usize,
-    /// SafeTSA instruction count (phis included, matching the paper's
-    /// counting of phi instructions as instructions).
-    pub safetsa_instrs: usize,
-    /// Optimized SafeTSA instruction count.
-    pub safetsa_opt_instrs: usize,
-    /// SSA construction statistics (phi pruning, checks inserted).
-    pub construction: FnStats,
-    /// Optimization statistics (Figure 6 columns).
-    pub opt: OptStats,
-    /// Baseline dataflow-verification statistics.
-    pub bverify: bverify::BVerifyStats,
-}
-
-/// The full producer/consumer artifacts for one program (used by the
-/// Criterion benches so they measure stages in isolation).
+/// The full producer/consumer artifacts for one program, for the
+/// differential and engine tests.
 pub struct Pipeline {
     /// The resolved program.
     pub prog: Program,
@@ -119,10 +100,6 @@ pub struct Pipeline {
     pub module: Module,
     /// Optimized SafeTSA module.
     pub optimized: Module,
-    /// Unoptimized wire bytes.
-    pub bytes: Vec<u8>,
-    /// Optimized wire bytes.
-    pub opt_bytes: Vec<u8>,
     /// Baseline stack code.
     pub bcode: bcompile::CompiledProgram,
 }
@@ -142,10 +119,6 @@ pub fn build_pipeline(entry: &CorpusEntry) -> Pipeline {
     let mut optimized = module.clone();
     safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
     verify_module(&optimized).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
-    let bytes =
-        encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
-    let opt_bytes =
-        encode_module(&optimized).unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
     let mut bcode = bcompile::compile_program(&prog);
     bverify::verify_program(&prog, &mut bcode)
         .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));
@@ -153,52 +126,7 @@ pub fn build_pipeline(entry: &CorpusEntry) -> Pipeline {
         prog,
         module,
         optimized,
-        bytes,
-        opt_bytes,
         bcode,
-    }
-}
-
-/// Measures one corpus program end to end.
-///
-/// # Panics
-///
-/// Panics when a stage fails.
-pub fn measure(entry: &CorpusEntry) -> Measurement {
-    let prog = safetsa_frontend::compile(entry.source)
-        .unwrap_or_else(|e| panic!("{}: front-end: {e}", entry.name));
-    let lowered = lower_program(&prog).unwrap_or_else(|e| panic!("{}: lowering: {e}", entry.name));
-    verify_module(&lowered.module).unwrap_or_else(|e| panic!("{}: verify: {e}", entry.name));
-    let construction = lowered.totals();
-    let module = lowered.module;
-    let mut optimized = module.clone();
-    let opt = safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
-    verify_module(&optimized).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
-    // Wire sizes round-trip through the decoder as a sanity check.
-    let host = HostEnv::standard();
-    let bytes =
-        encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
-    decode_and_verify(&bytes, &host).unwrap_or_else(|e| panic!("{}: decode: {e}", entry.name));
-    let opt_bytes =
-        encode_module(&optimized).unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
-    decode_and_verify(&opt_bytes, &host)
-        .unwrap_or_else(|e| panic!("{}: decode optimized: {e}", entry.name));
-    // Baseline.
-    let mut bcode = bcompile::compile_program(&prog);
-    let bstats = bverify::verify_program(&prog, &mut bcode)
-        .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));
-    let bytecode_size = classfile::total_size(&prog, &bcode);
-    Measurement {
-        name: entry.name,
-        bytecode_size,
-        safetsa_size: bytes.len(),
-        safetsa_opt_size: opt_bytes.len(),
-        bytecode_instrs: bcode.instr_count(),
-        safetsa_instrs: module.instr_count() + module.phi_count(),
-        safetsa_opt_instrs: optimized.instr_count() + optimized.phi_count(),
-        construction,
-        opt,
-        bverify: bstats,
     }
 }
 
@@ -249,15 +177,6 @@ pub fn run_differential(entry: &CorpusEntry) -> String {
     o1
 }
 
-/// Percentage delta `(after - before) / before`, as the paper prints it
-/// (negative = reduction); `None` when `before` is zero (printed N/A).
-pub fn delta_pct(before: usize, after: usize) -> Option<i64> {
-    if before == 0 {
-        return None;
-    }
-    Some(((after as i64 - before as i64) * 100) / before as i64)
-}
-
 /// Static safety-check count (nullchecks + indexchecks) of a module.
 pub fn static_check_count(m: &Module) -> u64 {
     m.functions
@@ -274,72 +193,61 @@ pub fn static_check_count(m: &Module) -> u64 {
         .sum::<usize>() as u64
 }
 
-/// One corpus program's full metrics document plus the headline
-/// quantities `bench_report` aggregates and regression-checks.
+/// The §8 ablation configurations besides [`Passes::ALL`]: each pass on
+/// its own, then the full pipeline with CSE on §8's proposed
+/// field-partitioned memory model. [`record_program`] records the
+/// instruction+phi count each leaves as `opt.ablation.<name>`.
+#[rustfmt::skip]
+pub const ABLATION: [(&str, Passes); 7] = [
+    ("constprop", Passes { constprop: true, ..Passes::NONE }),
+    ("cse", Passes { cse: true, ..Passes::NONE }),
+    ("checkelim", Passes { checkelim: true, ..Passes::NONE }),
+    ("loadfwd", Passes { loadfwd: true, ..Passes::NONE }),
+    ("dse", Passes { dse: true, ..Passes::NONE }),
+    ("dce", Passes { dce: true, ..Passes::NONE }),
+    ("all_field_mem", Passes::ALL_FIELD_MEM),
+];
+
+/// One corpus program's record: the `{schema, command, subject,
+/// metrics}` document [`record_program`] fills, counters only. The
+/// thresholds gate, `BENCH_pipeline.json` and the paper tables are all
+/// views over it, and a registry replayed from the batch cache rebuilds
+/// it exactly.
 pub struct ProgramReport {
     /// Row label.
     pub name: &'static str,
-    /// The `{schema, command, subject, metrics}` document.
+    /// The metrics document.
     pub json: Json,
-    /// Optimized SafeTSA wire bytes.
-    pub opt_size: u64,
-    /// Baseline class-file bytes.
-    pub class_size: u64,
-    /// `opt_size * 1000 / class_size` — the paper's headline encoding
-    /// ratio, in permille.
-    pub ratio_permille: u64,
-    /// Dynamic instructions executed by the optimized module (fused
-    /// pairs count once, which is the point).
-    pub steps: u64,
-    /// VM wall time for the run, nanoseconds.
-    pub vm_wall_ns: u64,
-    /// xdispatch inline-cache hits.
-    pub icache_hits: u64,
-    /// xdispatch inline-cache misses.
-    pub icache_misses: u64,
-    /// Safety checks (null + index) removed by the full pass pipeline.
-    pub checks_eliminated: u64,
-    /// Safety checks removed with `checkelim` disabled — the CSE-only
-    /// baseline the dataflow pass is measured against.
-    pub checks_eliminated_cse_only: u64,
-    /// Loads removed by the alias-driven `loadfwd` pass.
-    pub loads_forwarded: u64,
-    /// Stores removed by the alias-driven `dse` pass.
-    pub stores_eliminated: u64,
 }
 
 impl ProgramReport {
-    /// Reconstructs the headline quantities from a metrics registry —
-    /// the inverse of [`record_program`], and the reason every headline
-    /// lives in a counter: a registry replayed from the batch cache
-    /// carries everything the report needs.
-    pub fn from_metrics(name: &'static str, tm: &Telemetry) -> ProgramReport {
-        let c = |key: &str| tm.counter(key).unwrap_or(0);
-        ProgramReport {
-            name,
-            json: tm.report("bench-report", name),
-            opt_size: c("codec.total_bytes"),
-            class_size: c("baseline.class_file_bytes"),
-            ratio_permille: c("codec.size_ratio_permille"),
-            steps: c("vm.steps"),
-            vm_wall_ns: c("vm.run_ns"),
-            icache_hits: c("vm.icache.hits"),
-            icache_misses: c("vm.icache.misses"),
-            checks_eliminated: c("opt.checks.eliminated"),
-            checks_eliminated_cse_only: c("opt.checks.eliminated_cse_only"),
-            loads_forwarded: c("opt.loadfwd.removed"),
-            stores_eliminated: c("opt.dse.removed"),
-        }
+    /// The counter at the dotted metric path `path`
+    /// (`"codec.total_bytes"`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record lacks `path`: every counter a view reads
+    /// is recorded for every program, so a miss is a typo.
+    pub fn counter(&self, path: &str) -> u64 {
+        self.json
+            .get("metrics")
+            .and_then(|m| path.split('.').try_fold(m, |j, key| j.get(key)))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{}: no counter `{path}` in the record", self.name))
     }
 }
 
 /// Runs the fully instrumented pipeline over one corpus program,
 /// recording into `tm`: frontend, SSA construction, producer
-/// optimization, encoding with section accounting, the bytecode
-/// baseline, and an interpreted run of the optimized module with
-/// dynamic statistics. Returns the optimized module's wire bytes; every
-/// quantity `bench_report` aggregates is recorded as a counter, so the
-/// registry alone reconstructs a [`ProgramReport`].
+/// optimization (plus the [`ABLATION`] configurations and a
+/// `checkelim`-off copy, each on a clone of the lowered module),
+/// encoding with section accounting, the bytecode baseline with its
+/// dataflow verifier, and an interpreted run of the optimized module
+/// with dynamic statistics. Returns the optimized module's wire bytes.
+///
+/// Wall-clock timers are dropped before returning, so `tm` ends up a
+/// deterministic record: every quantity `bench_report` gates or prints
+/// is a counter in it.
 ///
 /// # Panics
 ///
@@ -351,6 +259,25 @@ pub fn record_program(entry: &CorpusEntry, tm: &Telemetry) -> Vec<u8> {
     let lowered = safetsa_ssa::construct(&prog, tm)
         .unwrap_or_else(|e| panic!("{}: lowering: {e}", entry.name));
     let mut module = lowered.module;
+    // §9: the work of the single-pass structural verifier on the
+    // unoptimized module, in operand references checked.
+    let verified = verify_module(&module).unwrap_or_else(|e| panic!("{}: verify: {e}", entry.name));
+    tm.set("core.verify.operands", verified.operands as u64);
+    let host = HostEnv::standard();
+    let unoptimized =
+        encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
+    decode_and_verify(&unoptimized, &host)
+        .unwrap_or_else(|e| panic!("{}: decode: {e}", entry.name));
+    tm.set("codec.unoptimized_bytes", unoptimized.len() as u64);
+    for (name, passes) in ABLATION {
+        let mut m = module.clone();
+        safetsa_opt::optimize(&mut m, passes, &Telemetry::disabled());
+        verify_module(&m).unwrap_or_else(|e| panic!("{}: verify {name}: {e}", entry.name));
+        tm.set(
+            &format!("opt.ablation.{name}"),
+            (m.instr_count() + m.phi_count()) as u64,
+        );
+    }
     let checks_before = static_check_count(&module);
     // CSE-only ablation copy: what the pipeline eliminates without the
     // dataflow-driven checkelim pass. The delta against the full
@@ -369,29 +296,31 @@ pub fn record_program(entry: &CorpusEntry, tm: &Telemetry) -> Vec<u8> {
     let checks_eliminated = checks_before - static_check_count(&module);
     tm.set("opt.checks.eliminated", checks_eliminated);
     tm.set("opt.checks.eliminated_cse_only", checks_eliminated_cse_only);
-    verify_module(&module).unwrap_or_else(|e| panic!("{}: verify: {e}", entry.name));
+    verify_module(&module).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
     let bytes = safetsa_codec::encode(&module, tm)
-        .unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
+        .unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
+    decode_and_verify(&bytes, &host)
+        .unwrap_or_else(|e| panic!("{}: decode optimized: {e}", entry.name));
     // Baseline plane + headline ratio.
     let mut bcode = bcompile::compile_program(&prog);
-    bverify::verify_program(&prog, &mut bcode)
+    let bstats = bverify::verify_program(&prog, &mut bcode)
         .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));
     let class_size = classfile::total_size(&prog, &bcode) as u64;
     let opt_size = bytes.len() as u64;
     let ratio_permille = (opt_size * 1000).checked_div(class_size).unwrap_or(0);
     tm.set("baseline.class_file_bytes", class_size);
     tm.set("baseline.instrs", bcode.instr_count() as u64);
+    tm.set("baseline.verify.iterations", bstats.iterations as u64);
     tm.set("codec.size_ratio_permille", ratio_permille);
-    // Consumer plane: run the optimized module (timed, with dynamic
-    // counters and inline-cache telemetry).
+    // Consumer plane: run the optimized module with dynamic counters
+    // and inline-cache telemetry.
     let mut vm = safetsa_vm::Vm::load(&module).expect("loads");
     vm.enable_stats();
     vm.set_fuel(500_000_000);
-    let t0 = std::time::Instant::now();
     vm.run_entry(entry.entry)
         .unwrap_or_else(|e| panic!("{}: vm: {e}", entry.name));
-    tm.set("vm.run_ns", t0.elapsed().as_nanos() as u64);
     vm.export_metrics(tm);
+    tm.drop_timers();
     bytes
 }
 
@@ -421,24 +350,11 @@ pub fn pair_histogram() -> safetsa_vm::VmProfile {
     merged
 }
 
-/// Runs the fully instrumented pipeline over one corpus program and
-/// packages the per-program metrics document.
-///
-/// # Panics
-///
-/// Panics when any stage fails.
-pub fn program_report(entry: &CorpusEntry) -> ProgramReport {
-    let tm = Telemetry::enabled();
-    record_program(entry, &tm);
-    ProgramReport::from_metrics(entry.name, &tm)
-}
-
 /// Sweeps the whole corpus through the parallel batch driver: `jobs`
 /// workers (`0` = one per CPU), an optional content-addressed cache,
 /// and one [`record_program`] task per program. Returns the per-program
 /// reports (in corpus order — scheduling never shows) together with the
-/// batch-level [`BatchReport`] (merged metrics, wall times, cache
-/// hit/miss counts).
+/// batch-level [`BatchReport`] (worker count, cache hit/miss counts).
 ///
 /// # Panics
 ///
@@ -453,7 +369,7 @@ pub fn corpus_report(jobs: usize, cache_dir: Option<&Path>) -> (Vec<ProgramRepor
         })
         .collect();
     let mut opts = BatchOptions::new(format!(
-        "bench-report/2/{}",
+        "bench-report/3/{}",
         passes_fingerprint(&Passes::ALL)
     ));
     opts.jobs = jobs;
@@ -467,12 +383,15 @@ pub fn corpus_report(jobs: usize, cache_dir: Option<&Path>) -> (Vec<ProgramRepor
     let reports = entries
         .iter()
         .zip(&report.items)
-        .map(|(e, item)| ProgramReport::from_metrics(e.name, &item.metrics))
+        .map(|(e, item)| ProgramReport {
+            name: e.name,
+            json: item.metrics.report("bench-report", e.name),
+        })
         .collect();
     (reports, report)
 }
 
-/// One touch-one-method incremental replay measurement (the
+/// One touch-one-method incremental replay (the
 /// `totals.incremental` block in `bench_report`'s document).
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalReplay {
@@ -482,15 +401,13 @@ pub struct IncrementalReplay {
     pub reused: u64,
     /// Units recompiled — exactly 1, the edited method.
     pub recompiled: u64,
-    /// Wall time of the warm (post-edit) rebuild.
-    pub warm_wall_ns: u64,
 }
 
 /// Cold-populates the method-granular incremental store from the
 /// QuickSort corpus program, replays a one-method edit (`main`'s
-/// element count bumped), and measures the warm rebuild. The warm
-/// output is asserted byte-identical to a cold build of the edited
-/// source before the numbers are returned.
+/// element count bumped), and counts the units the warm rebuild
+/// reuses. The warm output is asserted byte-identical to a cold build
+/// of the edited source before the counts are returned.
 ///
 /// # Panics
 ///
@@ -513,11 +430,9 @@ pub fn incremental_replay(cache_dir: &Path) -> IncrementalReplay {
     let warm = DriverPipeline::new()
         .cache(cache_dir)
         .unwrap_or_else(|e| panic!("incremental store: {e}"));
-    let start = std::time::Instant::now();
     let wm = warm
         .compile_source(&edited)
         .unwrap_or_else(|e| panic!("warm rebuild: {e}"));
-    let warm_wall_ns = start.elapsed().as_nanos() as u64;
     let warm_bytes = warm.encode(&wm).unwrap_or_else(|e| panic!("encode: {e}"));
 
     let plain = DriverPipeline::new();
@@ -542,6 +457,5 @@ pub fn incremental_replay(cache_dir: &Path) -> IncrementalReplay {
         units,
         reused,
         recompiled,
-        warm_wall_ns,
     }
 }

@@ -2,7 +2,7 @@
 //! full pipeline, verifies, round-trips the codec, and executes
 //! identically under all three engines.
 
-use safetsa_bench::{corpus, measure, run_differential};
+use safetsa_bench::{corpus, corpus_report, run_differential};
 
 #[test]
 fn all_corpus_programs_run_identically_everywhere() {
@@ -18,31 +18,31 @@ fn all_corpus_programs_run_identically_everywhere() {
 
 #[test]
 fn measurements_are_sane() {
-    for entry in corpus() {
-        let m = measure(&entry);
-        assert!(m.bytecode_instrs > 0, "{}", m.name);
-        assert!(m.safetsa_instrs > 0, "{}", m.name);
+    let (reports, _) = corpus_report(1, None);
+    for r in &reports {
+        let c = |path: &str| r.counter(path);
+        let name = r.name;
+        assert!(c("baseline.instrs") > 0, "{name}");
+        let before = c("opt.instrs.before") + c("opt.phis.before");
+        let after = c("opt.instrs.after") + c("opt.phis.after");
+        assert!(before > 0, "{name}");
         assert!(
-            m.safetsa_opt_instrs <= m.safetsa_instrs,
-            "{}: optimization never grows the program",
-            m.name
-        );
-        assert!(m.safetsa_size > 0 && m.bytecode_size > 0, "{}", m.name);
-        assert!(
-            m.opt.null_checks_after <= m.opt.null_checks_before,
-            "{}",
-            m.name
+            after <= before,
+            "{name}: optimization never grows the program"
         );
         assert!(
-            m.opt.index_checks_after <= m.opt.index_checks_before,
-            "{}",
-            m.name
+            c("codec.unoptimized_bytes") > 0 && c("baseline.class_file_bytes") > 0,
+            "{name}"
         );
         assert!(
-            m.construction.phis_inserted <= m.construction.phis_candidate,
-            "{}",
-            m.name
+            c("opt.null_checks.after") <= c("opt.null_checks.before"),
+            "{name}"
         );
-        assert!(m.bverify.iterations > 0, "{}", m.name);
+        assert!(
+            c("opt.index_checks.after") <= c("opt.index_checks.before"),
+            "{name}"
+        );
+        assert!(c("ssa.phis_inserted") <= c("ssa.phis_candidate"), "{name}");
+        assert!(c("baseline.verify.iterations") > 0, "{name}");
     }
 }

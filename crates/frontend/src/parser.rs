@@ -738,11 +738,13 @@ impl Parser {
             Tok::P(P::Minus) => {
                 self.bump();
                 // Fold -literal so Integer.MIN_VALUE / Long.MIN_VALUE work.
+                // A hex literal already reads as i32::MIN, which is its
+                // own negation in 32 bits.
                 if let Tok::IntLit(v) = self.peek() {
                     let v = *v;
                     self.bump();
                     return Ok(Expr {
-                        kind: ExprKind::IntLit(-v),
+                        kind: ExprKind::IntLit(if v == i32::MIN as i64 { v } else { -v }),
                         span,
                     });
                 }

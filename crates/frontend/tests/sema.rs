@@ -400,3 +400,36 @@ fn while_true_with_labeled_break_completes() {
     .unwrap_err();
     assert!(err.message.contains("unreachable"), "{err}");
 }
+
+/// The value of `f`'s `return <literal>;`, or the compile error.
+fn returned_literal(ty: &str, lit: &str) -> Result<Lit, String> {
+    let src = format!("class A {{ static {ty} f() {{ return {lit}; }} }}");
+    let p = compile(&src).map_err(|e| e.message)?;
+    let a = p.find_class("A").unwrap();
+    let f = p.class(a).methods.iter().find(|m| m.name == "f").unwrap();
+    match &f.body.as_ref().unwrap().stmts[0] {
+        Stmt::Return(Some(Expr {
+            kind: ExprKind::Lit(l),
+            ..
+        })) => Ok(l.clone()),
+        other => panic!("unexpected shape {other:?}"),
+    }
+}
+
+#[test]
+fn min_value_literals_fold() {
+    assert_eq!(
+        returned_literal("int", "-0x80000000"),
+        Ok(Lit::Int(i32::MIN))
+    );
+    assert_eq!(
+        returned_literal("int", "-2147483648"),
+        Ok(Lit::Int(i32::MIN))
+    );
+    let err = returned_literal("int", "2147483648").unwrap_err();
+    assert!(err.contains("int literal too large"), "{err}");
+    assert_eq!(
+        returned_literal("long", "-0x8000000000000000L"),
+        Ok(Lit::Long(i64::MIN))
+    );
+}

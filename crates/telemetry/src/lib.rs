@@ -304,6 +304,18 @@ impl Telemetry {
         }
     }
 
+    /// Removes every wall-clock timer, keeping counters and
+    /// histograms: what is left is deterministic for a deterministic
+    /// workload.
+    pub fn drop_timers(&self) {
+        if let Some(inner) = &self.inner {
+            inner
+                .borrow_mut()
+                .metrics
+                .retain(|_, m| !matches!(m, Metric::TimeNs(_)));
+        }
+    }
+
     /// Merges another registry into this one: counters and timers add,
     /// histograms merge bucket-wise. Summing is commutative and
     /// associative, so merging per-worker registries produces the same

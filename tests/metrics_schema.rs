@@ -7,7 +7,9 @@
 //! key-path lists match the checked-in golden files under
 //! `tests/golden/`. Regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test metrics_schema` after an
-//! intentional schema change.
+//! intentional schema change. The telemetry zero-overhead
+//! preconditions (a disabled registry records nothing; tracing leaves
+//! the metrics plane alone) live here too.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -267,4 +269,78 @@ fn batch_compile_adds_only_driver_and_cache_keys() {
 
     let batch_keys: Vec<String> = leaves(&batch).into_iter().map(|(k, _)| k).collect();
     check_golden("metrics_compile_jobs_keys.txt", &batch_keys);
+}
+
+/// The producer pipeline through the instrumented entry points, inside
+/// the same stage spans `Pipeline` opens.
+fn pipeline_traced(source: &str, tm: &safetsa_telemetry::Telemetry) -> Vec<u8> {
+    tm.span("compile", || {
+        let prog = tm
+            .span("frontend", || {
+                safetsa_frontend::compile_sources(&[source], tm)
+            })
+            .unwrap();
+        let mut module = tm
+            .span("lower", || safetsa_ssa::construct(&prog, tm))
+            .unwrap()
+            .module;
+        tm.span("optimize", || {
+            safetsa_opt::optimize(&mut module, safetsa_opt::Passes::ALL, tm)
+        });
+        tm.span("encode", || safetsa_codec::encode(&module, tm))
+            .unwrap()
+    })
+}
+
+/// The zero-overhead contract, stated as counts rather than a timing:
+/// a disabled registry records nothing, and a *tracing* registry
+/// records spans without adding or changing a single metric.
+#[test]
+fn disabled_registry_records_nothing_and_tracing_leaves_metrics_alone() {
+    use safetsa_telemetry::Telemetry;
+    let entry = safetsa_bench::corpus()
+        .into_iter()
+        .find(|e| e.name == "QuickSort")
+        .expect("QuickSort in corpus");
+    let off = Telemetry::disabled();
+    let _ = pipeline_traced(entry.source, &off);
+    assert_eq!(
+        off.export_flat(),
+        "",
+        "disabled registry must record no counters"
+    );
+    assert!(
+        off.trace_spans().is_empty(),
+        "disabled registry must not trace"
+    );
+    let with_spans = Telemetry::with_trace();
+    let _ = pipeline_traced(entry.source, &with_spans);
+    let plain = Telemetry::enabled();
+    let _ = pipeline_traced(entry.source, &plain);
+    // Counter lines (`c name value`) compare exactly; timer and
+    // histogram lines by kind and key only.
+    let shape = |tm: &Telemetry| {
+        let mut lines: Vec<String> = tm
+            .export_flat()
+            .lines()
+            .map(|l| {
+                if l.starts_with("c ") {
+                    l.to_string()
+                } else {
+                    l.split_whitespace().take(2).collect::<Vec<_>>().join(" ")
+                }
+            })
+            .collect();
+        lines.sort_unstable();
+        lines
+    };
+    assert_eq!(
+        shape(&with_spans),
+        shape(&plain),
+        "tracing must not perturb the metrics plane"
+    );
+    assert!(
+        !with_spans.trace_spans().is_empty(),
+        "tracing registry must have recorded stage spans"
+    );
 }
