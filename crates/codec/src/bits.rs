@@ -142,16 +142,23 @@ impl<'a> BitReader<'a> {
     ///
     /// [`DecodeError::UnexpectedEof`] when the stream is exhausted.
     pub fn bits(&mut self, n: u32) -> Result<u64, DecodeError> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            let byte = self
-                .bytes
-                .get(self.pos / 8)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u64;
-            self.pos += 1;
+        debug_assert!(n <= 64);
+        let end = self.pos + n as usize;
+        if end > self.bytes.len() * 8 {
+            return Err(DecodeError::UnexpectedEof);
         }
+        // A byte-sized chunk per iteration: the tail of the current
+        // byte, then whole bytes, then the head of the last one.
+        let mut v = 0u64;
+        let mut pos = self.pos;
+        while pos < end {
+            let off = (pos % 8) as u32;
+            let take = (8 - off).min((end - pos) as u32);
+            let chunk = (self.bytes[pos / 8] << off) >> (8 - take);
+            v = (v << take) | u64::from(chunk);
+            pos += take as usize;
+        }
+        self.pos = end;
         Ok(v)
     }
 
@@ -213,6 +220,11 @@ impl<'a> BitReader<'a> {
     /// Current bit position (diagnostics).
     pub fn bit_pos(&self) -> usize {
         self.pos
+    }
+
+    /// Bits left in the stream.
+    pub fn bits_left(&self) -> usize {
+        self.bytes.len() * 8 - self.pos
     }
 }
 

@@ -11,11 +11,11 @@
 
 use crate::bits::{BitReader, DecodeError};
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{read_ref, read_type};
+use crate::refs::{read_ref, read_type, RegTable};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
-use safetsa_core::function::{Function, ENTRY};
+use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::module::{Module, WellKnown};
 use safetsa_core::primops::{self, PrimOpId};
@@ -51,6 +51,15 @@ fn cap(v: u64, what: &str) -> Result<usize, DecodeError> {
 ///
 /// Any structural, referential, or type violation aborts decoding.
 pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError> {
+    decode_module_graphs(bytes, host).map(|(m, _)| m)
+}
+
+/// Decodes a module and returns, with it, the CFG and dominator tree
+/// each function was decoded against, in `functions` order.
+fn decode_module_graphs(
+    bytes: &[u8],
+    host: &HostEnv,
+) -> Result<(Module, Vec<(Cfg, DomTree)>), DecodeError> {
     let mut r = BitReader::new(bytes);
     if r.bits(32)? as u32 != MAGIC {
         return Err(DecodeError::Malformed("bad magic".into()));
@@ -71,10 +80,19 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
     if n_classes < n_builtin {
         return Err(DecodeError::Malformed("class counts inconsistent".into()));
     }
+    // A local class takes at least 4 bits (an empty name, a superclass
+    // symbol, two zero counts): refuse a count the stream cannot back
+    // before declaring a single class, so a few bytes cannot make the
+    // consumer allocate millions of them.
+    if (n_classes - n_builtin).saturating_mul(4) > r.bits_left() {
+        return Err(DecodeError::Malformed(
+            "class count exceeds the stream".into(),
+        ));
+    }
     // Pre-declare local classes so forward references resolve.
-    for i in n_builtin..n_classes {
+    for _ in n_builtin..n_classes {
         types.declare_class(ClassInfo {
-            name: format!("<class {i}>"),
+            name: String::new(),
             superclass: None,
             fields: vec![],
             methods: vec![],
@@ -136,115 +154,96 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         info.fields = fields;
         info.methods = methods;
     }
-    // Reject superclass cycles before any recursive walk.
-    for i in 0..n_classes {
-        let mut seen = 0usize;
-        let mut cur = Some(ClassId(i as u32));
-        while let Some(c) = cur {
-            seen += 1;
-            if seen > n_classes {
-                return Err(DecodeError::Malformed("superclass cycle".into()));
-            }
-            cur = types
-                .class_checked(c)
-                .ok_or_else(|| DecodeError::Malformed("superclass out of range".into()))?
-                .superclass;
-        }
-    }
+    // One superclass-first order, found without recursion, rejects
+    // cycles and drives every inherited-metadata walk.
+    let order = types
+        .superclass_order()
+        .map_err(|_| DecodeError::Malformed("superclass cycle".into()))?;
     // Dispatch-table slots are derived by the consumer — never
     // transmitted, so they cannot be corrupted.
-    derive_vtable_slots(&mut types)?;
+    derive_vtable_slots(&mut types, &order);
 
     // Function bodies.
     let mut functions = Vec::with_capacity(has_body.len());
+    let mut graphs = Vec::with_capacity(has_body.len());
+    let mut table = RegTable::default();
     for (cid, mi) in has_body {
         let fid = functions.len() as u32;
-        let fname = format!(
-            "{}.{}",
-            types.class(cid).name,
-            types.class(cid).methods[mi].name
-        );
-        let f = decode_function(&mut r, &mut types, cid, mi)
-            .map_err(|e| DecodeError::Malformed(format!("in {fname}: {e}")))?;
+        let (f, cfg, dom) =
+            decode_function(&mut r, &mut types, cid, mi, &mut table).map_err(|e| {
+                let c = types.class(cid);
+                DecodeError::Malformed(format!("in {}.{}: {e}", c.name, c.methods[mi].name))
+            })?;
         types.class_mut(cid).methods[mi].body = Some(fid);
         functions.push(f);
+        graphs.push((cfg, dom));
     }
-    Ok(Module {
+    let m = Module {
         name,
         types,
         well_known: host.well_known,
         functions,
-    })
+    };
+    Ok((m, graphs))
 }
 
-/// Decodes and fully verifies a module.
+/// Decodes and fully verifies a module. The verifier reuses the CFG and
+/// dominator tree each function was decoded against and checks every
+/// other property itself.
 ///
 /// # Errors
 ///
 /// Decode errors, or verification failures mapped to
 /// [`DecodeError::Malformed`].
 pub fn decode_and_verify(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError> {
-    let m = decode_module(bytes, host)?;
-    safetsa_core::verify::verify_module(&m)
+    let (m, graphs) = decode_module_graphs(bytes, host)?;
+    safetsa_core::verify::verify_module_with(&m, &graphs)
         .map_err(|e| DecodeError::Malformed(format!("verification: {e}")))?;
     Ok(m)
 }
 
 /// Recomputes virtual-dispatch slots from the method tables (same
 /// override rule as the producer: match by name, parameters, and
-/// return type along the superclass chain).
-fn derive_vtable_slots(types: &mut TypeTable) -> Result<(), DecodeError> {
-    let n = types.class_count();
-    let mut tables: Vec<Option<Vec<(ClassId, u32)>>> = vec![None; n];
-    fn build(
-        i: usize,
-        types: &mut TypeTable,
-        tables: &mut Vec<Option<Vec<(ClassId, u32)>>>,
-    ) -> Vec<(ClassId, u32)> {
-        if let Some(t) = &tables[i] {
-            return t.clone();
-        }
-        let sup = types.class(ClassId(i as u32)).superclass;
-        let mut table = match sup {
-            Some(s) => build(s.index(), types, tables),
-            None => Vec::new(),
-        };
-        let n_methods = types.class(ClassId(i as u32)).methods.len();
-        for mi in 0..n_methods {
-            let (name, params, ret, kind) = {
-                let m = &types.class(ClassId(i as u32)).methods[mi];
-                (m.name.clone(), m.params.clone(), m.ret, m.kind)
-            };
-            if kind != MethodKind::Virtual {
+/// return type along the superclass chain), visiting classes in
+/// `order` so every superclass's table is complete before its
+/// subclasses copy it.
+fn derive_vtable_slots(types: &mut TypeTable, order: &[ClassId]) {
+    let mut tables: Vec<Vec<(ClassId, u32)>> = vec![Vec::new(); types.class_count()];
+    for &c in order {
+        let info = types.class(c);
+        let mut table = info
+            .superclass
+            .map_or_else(Vec::new, |s| tables[s.index()].clone());
+        let mut slots = Vec::new();
+        for (mi, m) in info.methods.iter().enumerate() {
+            if m.kind != MethodKind::Virtual {
                 continue;
             }
-            let mut slot = None;
-            for (s, &(oc, om)) in table.iter().enumerate() {
+            let overridden = table.iter().position(|&(oc, om)| {
                 let o = &types.class(oc).methods[om as usize];
-                if o.name == name && o.params == params && o.ret == ret {
-                    slot = Some(s);
-                    break;
-                }
-            }
-            let s = match slot {
+                o.name == m.name && o.params == m.params && o.ret == m.ret
+            });
+            let s = match overridden {
                 Some(s) => {
-                    table[s] = (ClassId(i as u32), mi as u32);
+                    table[s] = (c, mi as u32);
                     s
                 }
                 None => {
-                    table.push((ClassId(i as u32), mi as u32));
+                    table.push((c, mi as u32));
                     table.len() - 1
                 }
             };
-            types.class_mut(ClassId(i as u32)).methods[mi].vtable_slot = Some(s as u32);
+            if m.vtable_slot != Some(s as u32) {
+                slots.push((mi, s as u32));
+            }
         }
-        tables[i] = Some(table.clone());
-        table
+        // Host classes arrive with their slots already derived, so
+        // their shared records are left untouched.
+        for (mi, s) in slots {
+            types.class_mut(c).methods[mi].vtable_slot = Some(s);
+        }
+        tables[c.index()] = table;
     }
-    for i in 0..n {
-        build(i, types, &mut tables);
-    }
-    Ok(())
 }
 
 /// Decodes one standalone function section (the counterpart of
@@ -271,7 +270,7 @@ pub fn decode_function_section(
         return Err(DecodeError::Malformed("method record out of range".into()));
     }
     let mut r = BitReader::new(bytes);
-    decode_function(&mut r, types, class, method_idx)
+    decode_function(&mut r, types, class, method_idx, &mut RegTable::default()).map(|(f, ..)| f)
 }
 
 const PLACEHOLDER: ValueId = ValueId(u32::MAX);
@@ -280,7 +279,8 @@ struct FnDecoder<'a, 'b> {
     r: &'a mut BitReader<'b>,
     types: &'a mut TypeTable,
     f: Function,
-    entry_used: bool,
+    /// Blocks the CST has allocated so far (the first is `ENTRY`).
+    n_blocks: usize,
     label_depth: u32,
     loop_depth: u32,
     nodes: usize,
@@ -291,31 +291,28 @@ fn decode_function(
     types: &mut TypeTable,
     class: ClassId,
     method_idx: usize,
-) -> Result<Function, DecodeError> {
-    // Derive the signature from the (already decoded) method record.
-    let (params, ret, name) = {
-        let cinfo = types.class(class);
-        let m = &cinfo.methods[method_idx];
-        let name = format!("{}.{}", cinfo.name, m.name);
-        let mut params = Vec::with_capacity(m.params.len() + 1);
-        if m.kind != MethodKind::Static {
-            params.push((true, types.class_ty(class)));
-        }
-        for p in &m.params {
-            params.push((false, *p));
-        }
-        (params, m.ret, name)
-    };
-    let params: Vec<TypeId> = params
-        .into_iter()
-        .map(|(recv, ty)| if recv { types.safe_ref_of(ty) } else { ty })
-        .collect();
+    table: &mut RegTable,
+) -> Result<(Function, Cfg, DomTree), DecodeError> {
+    // Derive the signature from the (already decoded) method record;
+    // an instance method's receiver is on its class's safe-ref plane.
+    let cinfo = types.class(class);
+    let m = &cinfo.methods[method_idx];
+    let name = format!("{}.{}", cinfo.name, m.name);
+    let (ret, has_recv) = (m.ret, m.kind != MethodKind::Static);
+    let mut params = Vec::with_capacity(m.params.len() + 1);
+    if has_recv {
+        params.push(types.class_ty(class));
+    }
+    params.extend_from_slice(&m.params);
+    if has_recv {
+        params[0] = types.safe_ref_of(params[0]);
+    }
     let f = Function::new(name, Some(class), params, ret);
     let mut d = FnDecoder {
         r,
         types,
         f,
-        entry_used: false,
+        n_blocks: 0,
         label_depth: 0,
         loop_depth: 0,
         nodes: 0,
@@ -330,20 +327,24 @@ fn decode_function(
     if d.f.consts.len() != n_consts {
         return Err(DecodeError::Malformed("duplicate constant entries".into()));
     }
-    // Phase 1: CST structure.
+    // Phase 1: CST structure. Every block it allocates appears in it
+    // exactly once; with none, the entry block would be left out.
     let body = d.parse_cst()?;
     d.f.body = body;
-    // Phase 2a: opcodes, types, and member references of every block in
-    // traversal order. Operands arrive in phase 2b, by which point the
-    // complete control-flow graph (exception edges included) and every
-    // plane's register count are known — this is what makes decoding a
-    // single forward pass with context-determined symbol alphabets.
-    let structural = build_cfg(&d.f)?;
-    let traversal = structural.traversal.clone();
-    if traversal.len() != d.f.block_count() {
+    if d.n_blocks == 0 {
         return Err(DecodeError::Malformed("blocks not covered by CST".into()));
     }
-    for &b in &traversal {
+    d.f.blocks.resize_with(d.n_blocks, Default::default);
+    d.f.results.resize_with(d.n_blocks, Default::default);
+    // Phase 2a: opcodes, types, and member references of every block in
+    // traversal order. `parse_cst` allocates blocks in exactly the order
+    // the CFG traversal visits them, so that order is `0..n`. Operands
+    // arrive in phase 2b, by which point the complete control-flow
+    // graph (exception edges included) and every plane's register count
+    // are known — this is what makes decoding a single forward pass
+    // with context-determined symbol alphabets.
+    let n_blocks = d.f.block_count();
+    for b in (0..n_blocks).map(|i| BlockId(i as u32)) {
         let n_phis = cap(d.r.gamma()?, "phi")?;
         for _ in 0..n_phis {
             let ty = read_type(d.r, d.types, 0)?;
@@ -356,75 +357,90 @@ fn decode_function(
             d.f.add_instr_unchecked(b, instr, result);
         }
     }
-    // Final CFG for the reference phases; unreachable blocks must be
+    // The function's one CFG, for the reference phases and (handed on
+    // by `decode_and_verify`) the verifier. Unreachable blocks must be
     // empty (verified again later, but needed now so reference decoding
     // never consults an unreachable block).
-    let cfg = build_cfg(&d.f)?;
+    let mut cfg =
+        Cfg::build(&d.f).map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))?;
     let dom = DomTree::build(&cfg);
-    for &b in &traversal {
-        if !cfg.reachable[b.index()] && b != ENTRY {
-            let blk = d.f.block(b);
-            if !blk.phis.is_empty() || !blk.instrs.is_empty() {
-                return Err(DecodeError::Malformed(
-                    "code in an unreachable block".into(),
-                ));
-            }
+    for (bi, blk) in d.f.blocks.iter().enumerate().skip(1) {
+        if !cfg.reachable[bi] && (!blk.phis.is_empty() || !blk.instrs.is_empty()) {
+            return Err(DecodeError::Malformed(
+                "code in an unreachable block".into(),
+            ));
         }
     }
-    // Phase 2b: operand references.
-    for &b in &traversal {
-        let n_instrs = d.f.block(b).instrs.len();
-        for k in 0..n_instrs {
-            let instr = d.f.block(b).instrs[k].clone();
-            let planes = crate::planes::operand_planes(d.types, &instr)?;
-            let mut vals = Vec::with_capacity(planes.len());
-            for plane in planes {
-                let v = read_ref(d.r, &d.f, &dom, b, Some(k), plane).map_err(|e| {
-                    DecodeError::Malformed(format!("operand in {b} instr {k}: {e}"))
-                })?;
-                vals.push(v);
+    // The register counters every reference is decoded against.
+    table.rebuild(&d.f);
+    // Phase 2b: operand references, patched into each instruction in
+    // place.
+    let mut planes = Vec::new();
+    for (bi, blk) in d.f.blocks.iter_mut().enumerate() {
+        let b = BlockId(bi as u32);
+        for (k, instr) in blk.instrs.iter_mut().enumerate() {
+            crate::planes::operand_planes(d.types, instr, &mut planes)?;
+            let mut planes = planes.iter();
+            let mut failed = None;
+            instr.map_operands(|v| {
+                let Some(&plane) = planes.next() else {
+                    failed.get_or_insert(DecodeError::Malformed("operand arity mismatch".into()));
+                    return v;
+                };
+                if failed.is_some() {
+                    return v;
+                }
+                read_ref(d.r, table, &dom, b, Some(k), plane).unwrap_or_else(|e| {
+                    failed = Some(DecodeError::Malformed(format!(
+                        "operand in {b} instr {k}: {e}"
+                    )));
+                    v
+                })
+            });
+            if planes.next().is_some() {
+                failed.get_or_insert(DecodeError::Malformed("operand arity mismatch".into()));
             }
-            let mut it = vals.into_iter();
-            let blk = &mut d.f.blocks[b.index()];
-            blk.instrs[k].map_operands(|_| it.next().expect("plane per operand"));
-            if it.next().is_some() {
-                return Err(DecodeError::Malformed("operand arity mismatch".into()));
+            if let Some(e) = failed {
+                return Err(e);
             }
-            // Safe-index results are bound to the array they were
-            // checked against (Appendix A).
-            if let Instr::IndexCheck { array, .. } = d.f.blocks[b.index()].instrs[k] {
-                if let Some(res) = d.f.instr_result(b, k) {
-                    d.f.set_provenance(res, Some(array));
+        }
+        // Safe-index results are bound to the array they were checked
+        // against (Appendix A).
+        for (k, instr) in blk.instrs.iter().enumerate() {
+            if let Instr::IndexCheck { array, .. } = *instr {
+                if let Some(res) = d.f.results[bi].instr_results[k] {
+                    d.f.values[res.index()].provenance = Some(array);
                 }
             }
         }
     }
-    // Phase 2c: CST value references.
+    // Phase 2c: CST value references; then the CFG's use lists, which
+    // were derived while the references were still placeholders.
     let mut body = std::mem::replace(&mut d.f.body, Cst::Seq(vec![]));
-    {
-        let mut w = PatchWalk {
-            r: d.r,
-            types: d.types,
-            f: &d.f,
-            cfg: &cfg,
-            dom: &dom,
-        };
-        w.walk(&mut body, Fr::Start)?;
+    PatchWalk {
+        r: d.r,
+        types: d.types,
+        ret: d.f.ret,
+        table,
+        cfg: &cfg,
+        dom: &dom,
     }
+    .walk(&mut body, Fr::Start)?;
     d.f.body = body;
+    cfg.refresh_uses(&d.f)
+        .map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))?;
     // Phase 3: phi operands.
-    for &b in &cfg.traversal {
-        let preds = cfg.preds_of(b).to_vec();
-        let n_phis = d.f.block(b).phis.len();
-        for k in 0..n_phis {
+    for b in (0..n_blocks).map(|i| BlockId(i as u32)) {
+        let preds = cfg.preds_of(b);
+        for k in 0..d.f.block(b).phis.len() {
             let ty = d.f.block(b).phis[k].ty;
             let mut args = Vec::with_capacity(preds.len());
-            for e in &preds {
+            for e in preds {
                 let limit = match e.kind {
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                let v = read_ref(d.r, &d.f, &dom, e.from, limit, ty)?;
+                let v = read_ref(d.r, table, &dom, e.from, limit, ty)?;
                 args.push((e.from, v));
             }
             let result = d.f.phi_result(b, k);
@@ -437,11 +453,7 @@ fn decode_function(
             d.f.set_phi_args(b, k, args);
         }
     }
-    Ok(d.f)
-}
-
-fn build_cfg(f: &Function) -> Result<Cfg, DecodeError> {
-    Cfg::build(f).map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))
+    Ok((d.f, cfg, dom))
 }
 
 impl<'a, 'b> FnDecoder<'a, 'b> {
@@ -469,12 +481,8 @@ impl<'a, 'b> FnDecoder<'a, 'b> {
     }
 
     fn alloc_block(&mut self) -> BlockId {
-        if !self.entry_used {
-            self.entry_used = true;
-            ENTRY
-        } else {
-            self.f.add_block()
-        }
+        self.n_blocks += 1;
+        BlockId(self.n_blocks as u32 - 1)
     }
 
     fn parse_cst(&mut self) -> Result<Cst, DecodeError> {
@@ -728,7 +736,8 @@ enum Fr {
 struct PatchWalk<'a, 'b> {
     r: &'a mut BitReader<'b>,
     types: &'a mut TypeTable,
-    f: &'a Function,
+    ret: Option<TypeId>,
+    table: &'a RegTable,
     cfg: &'a Cfg,
     dom: &'a DomTree,
 }
@@ -763,7 +772,7 @@ impl<'a, 'b> PatchWalk<'a, 'b> {
             } => {
                 if let Fr::At(b) = fr {
                     let bool_ty = self.types.bool_ty();
-                    *cond = read_ref(self.r, self.f, self.dom, b, None, bool_ty)?;
+                    *cond = read_ref(self.r, self.table, self.dom, b, None, bool_ty)?;
                 }
                 let join = *join;
                 self.walk(then_br, fr)?;
@@ -787,17 +796,16 @@ impl<'a, 'b> PatchWalk<'a, 'b> {
             Cst::Return(v) => {
                 if let (Fr::At(b), Some(slot)) = (fr, v.as_mut()) {
                     let plane = self
-                        .f
                         .ret
                         .ok_or_else(|| DecodeError::Malformed("value return in void".into()))?;
-                    *slot = read_ref(self.r, self.f, self.dom, b, None, plane)?;
+                    *slot = read_ref(self.r, self.table, self.dom, b, None, plane)?;
                 }
                 Fr::Dead
             }
             Cst::Throw(v) => {
                 if let Fr::At(b) = fr {
                     let plane = read_type(self.r, self.types, 0)?;
-                    *v = read_ref(self.r, self.f, self.dom, b, None, plane)?;
+                    *v = read_ref(self.r, self.table, self.dom, b, None, plane)?;
                 }
                 Fr::Dead
             }
@@ -818,5 +826,110 @@ impl<'a, 'b> PatchWalk<'a, 'b> {
                 self.live_join(join)
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod work_gate {
+    //! Deterministic work counters for the consumer, over every corpus
+    //! artifact (optimised and unoptimised): wall time is not gated,
+    //! these are.
+
+    use super::*;
+    use crate::enc::encode_module;
+    use crate::refs::WORK;
+    use safetsa_core::{cfg, dom};
+
+    fn corpus_artifacts() -> Vec<(String, Vec<u8>)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../bench/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "java"))
+            .collect();
+        paths.sort();
+        let mut out = Vec::new();
+        for p in paths {
+            let src = std::fs::read_to_string(&p).unwrap();
+            let prog = safetsa_frontend::compile(&src).unwrap();
+            let mut m = safetsa_ssa::lower_program(&prog).unwrap().module;
+            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+            out.push((format!("{name}.unopt"), encode_module(&m).unwrap()));
+            safetsa_opt::optimize(
+                &mut m,
+                safetsa_opt::Passes::ALL,
+                &safetsa_telemetry::Telemetry::disabled(),
+            );
+            out.push((format!("{name}.opt"), encode_module(&m).unwrap()));
+        }
+        out
+    }
+
+    #[test]
+    fn consumer_work_is_pinned_corpus_wide() {
+        let artifacts = corpus_artifacts();
+        assert_eq!(artifacts.len(), 42, "21 programs, two artifacts each");
+        let host = HostEnv::standard();
+        let (mut functions, mut refs, mut entries) = (0u64, 0u64, 0u64);
+        for (name, bytes) in &artifacts {
+            let (cfgs, doms) = (cfg::builds_on_this_thread(), dom::builds_on_this_thread());
+            WORK.with(|w| w.set((0, 0)));
+            let m = decode_and_verify(bytes, &host).unwrap();
+            let n = m.functions.len() as u64;
+            // One CFG and one dominator tree per function, shared by the
+            // decoder and the verifier.
+            assert_eq!(cfg::builds_on_this_thread() - cfgs, n, "{name}: CFG builds");
+            assert_eq!(
+                dom::builds_on_this_thread() - doms,
+                n,
+                "{name}: DomTree builds"
+            );
+            let (r, e) = WORK.with(|w| w.get());
+            functions += n;
+            refs += r;
+            entries += e;
+            // The wire format is a function of the module: decoding and
+            // re-encoding gives back the same bytes.
+            assert_eq!(&encode_module(&m).unwrap(), bytes, "{name}: round trip");
+        }
+        assert_eq!(functions, 316);
+        // Every operand, CST and phi reference resolves through the
+        // register table: a scan of the target block's plane runs, plus
+        // a binary search for a same-block limit. That reads ~3.6
+        // entries per reference on this corpus, and no reference
+        // allocates; a decoder that lists a block's visible values per
+        // reference fails the bound.
+        assert!(refs > 10_000, "{refs} references");
+        assert!(
+            entries <= 4 * refs,
+            "{entries} table entries read for {refs} references"
+        );
+    }
+
+    #[test]
+    fn decoded_cfg_equals_a_fresh_build() {
+        let host = HostEnv::standard();
+        for (name, bytes) in corpus_artifacts() {
+            let (m, graphs) = decode_module_graphs(&bytes, &host).unwrap();
+            for (f, (cfg, dom)) in m.functions.iter().zip(&graphs) {
+                let fresh = Cfg::build(f).unwrap();
+                // The use lists were refreshed after the CST references
+                // were patched in, so nothing of the placeholder build
+                // survives.
+                assert_eq!(
+                    format!("{cfg:?}"),
+                    format!("{fresh:?}"),
+                    "{name} {}",
+                    f.name
+                );
+                let dom2 = DomTree::build(&fresh);
+                assert_eq!(
+                    (&dom.idom, &dom.depth),
+                    (&dom2.idom, &dom2.depth),
+                    "{name} {}",
+                    f.name
+                );
+            }
+        }
     }
 }

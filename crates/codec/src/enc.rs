@@ -6,7 +6,7 @@
 
 use crate::bits::BitWriter;
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{write_ref, write_type};
+use crate::refs::{write_ref, write_type, RegTable};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -258,6 +258,7 @@ fn encode_function(
 ) -> Result<(), EncodeError> {
     let cfg = Cfg::build(f).map_err(|e| EncodeError::UnverifiedFunction(e.to_string()))?;
     let dom = DomTree::build(&cfg);
+    let table = RegTable::build(f);
     let mut mark = w.bit_len() as u64;
     let mut section = |w: &BitWriter, slot: &mut u64| {
         let here = w.bit_len() as u64;
@@ -293,13 +294,14 @@ fn encode_function(
     }
     section(w, &mut sec.instr_bits);
     // Phase 2b: the operand references.
+    let mut planes = Vec::new();
     for &b in &cfg.traversal {
         let block = f.block(b);
         for (k, instr) in block.instrs.iter().enumerate() {
-            let planes = crate::planes::operand_planes(types, instr)
+            crate::planes::operand_planes(types, instr, &mut planes)
                 .map_err(|e| EncodeError::MalformedInstruction(e.to_string()))?;
-            for (v, plane) in instr.operands().into_iter().zip(planes) {
-                write_ref(w, f, &dom, b, Some(k), plane, v)?;
+            for (v, &plane) in instr.operands().into_iter().zip(&planes) {
+                write_ref(w, f, &table, &dom, b, Some(k), plane, v)?;
             }
         }
     }
@@ -312,6 +314,7 @@ fn encode_function(
         f,
         cfg: &cfg,
         dom: &dom,
+        table: &table,
     };
     rw.walk(&f.body, Fr::Start)?;
     section(w, &mut sec.cst_ref_bits);
@@ -327,7 +330,7 @@ fn encode_function(
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                write_ref(w, f, &dom, e.from, limit, phi.ty, v)?;
+                write_ref(w, f, &table, &dom, e.from, limit, phi.ty, v)?;
             }
         }
     }
@@ -533,6 +536,7 @@ struct RefWalk<'a> {
     f: &'a Function,
     cfg: &'a Cfg,
     dom: &'a DomTree,
+    table: &'a RegTable,
 }
 
 impl<'a> RefWalk<'a> {
@@ -569,6 +573,7 @@ impl<'a> RefWalk<'a> {
                     write_ref(
                         self.w,
                         self.f,
+                        self.table,
                         self.dom,
                         b,
                         None,
@@ -596,7 +601,7 @@ impl<'a> RefWalk<'a> {
             Cst::Return(v) => {
                 if let (Fr::At(b), Some(v)) = (fr, v) {
                     let plane = self.f.ret.ok_or(EncodeError::MissingReturnType)?;
-                    write_ref(self.w, self.f, self.dom, b, None, plane, *v)?;
+                    write_ref(self.w, self.f, self.table, self.dom, b, None, plane, *v)?;
                 }
                 Fr::Dead
             }
@@ -604,7 +609,7 @@ impl<'a> RefWalk<'a> {
                 if let Fr::At(b) = fr {
                     let plane = self.f.value_ty(*v);
                     write_type(self.w, self.types, plane);
-                    write_ref(self.w, self.f, self.dom, b, None, plane, *v)?;
+                    write_ref(self.w, self.f, self.table, self.dom, b, None, plane, *v)?;
                 }
                 Fr::Dead
             }

@@ -85,19 +85,26 @@ pub fn record_sections(sec: &Sections, tm: &Telemetry) {
 
 impl HostEnv {
     /// The standard host environment: the same implicit classes the
-    /// front-end installs (built by compiling an empty program).
+    /// front-end installs. It is built once per process (by compiling
+    /// an empty program) and every call returns a copy that shares its
+    /// class records, so a consumer can afford one per request.
     ///
     /// # Panics
     ///
     /// Never panics in practice: the empty program always compiles.
     pub fn standard() -> HostEnv {
-        // Build via the producer pipeline over an empty program: only
-        // the implicit host classes remain.
-        let prog = safetsa_frontend::compile("").expect("empty program compiles");
-        let lowered = safetsa_ssa::lower_program(&prog).expect("empty program lowers");
-        HostEnv {
-            types: lowered.module.types,
-            well_known: lowered.module.well_known,
-        }
+        static STANDARD: std::sync::OnceLock<HostEnv> = std::sync::OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                // Build via the producer pipeline over an empty program:
+                // only the implicit host classes remain.
+                let prog = safetsa_frontend::compile("").expect("empty program compiles");
+                let lowered = safetsa_ssa::lower_program(&prog).expect("empty program lowers");
+                HostEnv {
+                    types: lowered.module.types,
+                    well_known: lowered.module.well_known,
+                }
+            })
+            .clone()
     }
 }

@@ -8,7 +8,7 @@
 use crate::bits::DecodeError;
 use safetsa_core::instr::Instr;
 use safetsa_core::primops;
-use safetsa_core::types::{TypeId, TypeKind, TypeTable};
+use safetsa_core::types::{MethodRef, TypeId, TypeKind, TypeTable};
 
 fn safe_ref(types: &mut TypeTable, ty: TypeId) -> Result<TypeId, DecodeError> {
     if !types.is_ref(ty) {
@@ -17,14 +17,26 @@ fn safe_ref(types: &mut TypeTable, ty: TypeId) -> Result<TypeId, DecodeError> {
     Ok(types.safe_ref_of(ty))
 }
 
-/// Operand planes of `instr`, in [`Instr::operands`] order.
+/// Operand planes of `instr`, in [`Instr::operands`] order, written to
+/// `out` (cleared first, so one buffer serves a whole function).
 ///
 /// # Errors
 ///
 /// Rejects ill-kinded field combinations (bad member refs, primitives
 /// where references are required, …).
-pub fn operand_planes(types: &mut TypeTable, instr: &Instr) -> Result<Vec<TypeId>, DecodeError> {
-    Ok(match instr {
+pub fn operand_planes(
+    types: &mut TypeTable,
+    instr: &Instr,
+    out: &mut Vec<TypeId>,
+) -> Result<(), DecodeError> {
+    out.clear();
+    let field_ty = |types: &TypeTable, field| {
+        types
+            .field(field)
+            .map(|f| f.ty)
+            .ok_or_else(|| DecodeError::Malformed("bad field".into()))
+    };
+    match instr {
         Instr::Primitive { ty, op, .. } | Instr::XPrimitive { ty, op, .. } => {
             let kind = match types.kind(*ty) {
                 TypeKind::Prim(p) => p,
@@ -32,82 +44,67 @@ pub fn operand_planes(types: &mut TypeTable, instr: &Instr) -> Result<Vec<TypeId
             };
             let desc = primops::resolve(kind, *op)
                 .ok_or_else(|| DecodeError::Malformed("bad op".into()))?;
-            desc.params.iter().map(|p| types.prim(*p)).collect()
+            out.extend(desc.params.iter().map(|p| types.prim(*p)));
         }
-        Instr::NullCheck { ty, .. } => vec![*ty],
+        Instr::NullCheck { ty, .. } => out.push(*ty),
         Instr::IndexCheck { arr_ty, .. } => {
-            vec![safe_ref(types, *arr_ty)?, types.int_ty()]
+            out.extend([safe_ref(types, *arr_ty)?, types.int_ty()]);
         }
-        Instr::Upcast { from, .. } | Instr::Downcast { from, .. } => vec![*from],
-        Instr::GetField { ty, .. } => vec![safe_ref(types, *ty)?],
+        Instr::Upcast { from, .. } | Instr::Downcast { from, .. } => out.push(*from),
+        Instr::GetField { ty, .. } => out.push(safe_ref(types, *ty)?),
         Instr::SetField { ty, field, .. } => {
-            let fty = types
-                .field(*field)
-                .ok_or_else(|| DecodeError::Malformed("bad field".into()))?
-                .ty;
-            vec![safe_ref(types, *ty)?, fty]
+            let fty = field_ty(types, *field)?;
+            out.extend([safe_ref(types, *ty)?, fty]);
         }
-        Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => vec![],
-        Instr::SetStatic { field, .. } => {
-            let fty = types
-                .field(*field)
-                .ok_or_else(|| DecodeError::Malformed("bad field".into()))?
-                .ty;
-            vec![fty]
-        }
+        Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => {}
+        Instr::SetStatic { field, .. } => out.push(field_ty(types, *field)?),
         Instr::GetElt { arr_ty, .. } => {
             if !matches!(types.kind(*arr_ty), TypeKind::Array(_)) {
                 return Err(DecodeError::Malformed("getelt on non-array".into()));
             }
-            vec![safe_ref(types, *arr_ty)?, types.safe_index_of(*arr_ty)]
+            out.extend([safe_ref(types, *arr_ty)?, types.safe_index_of(*arr_ty)]);
         }
         Instr::SetElt { arr_ty, .. } => {
             let elem = match types.kind(*arr_ty) {
                 TypeKind::Array(e) => e,
                 _ => return Err(DecodeError::Malformed("setelt on non-array".into())),
             };
-            vec![
+            out.extend([
                 safe_ref(types, *arr_ty)?,
                 types.safe_index_of(*arr_ty),
                 elem,
-            ]
+            ]);
         }
-        Instr::ArrayLength { arr_ty, .. } => vec![safe_ref(types, *arr_ty)?],
-        Instr::NewArray { .. } => vec![types.int_ty()],
+        Instr::ArrayLength { arr_ty, .. } => out.push(safe_ref(types, *arr_ty)?),
+        Instr::NewArray { .. } => out.push(types.int_ty()),
         Instr::XCall {
             base_ty,
             method,
             receiver,
             ..
         } => {
-            let params = types
-                .method(*method)
-                .ok_or_else(|| DecodeError::Malformed("bad method".into()))?
-                .params
-                .clone();
-            let mut v = Vec::with_capacity(params.len() + 1);
             if receiver.is_some() {
-                v.push(safe_ref(types, *base_ty)?);
+                out.push(safe_ref(types, *base_ty)?);
             }
-            v.extend(params);
-            v
+            out.extend_from_slice(method_params(types, *method)?);
         }
         Instr::XDispatch {
             base_ty, method, ..
         } => {
-            let params = types
-                .method(*method)
-                .ok_or_else(|| DecodeError::Malformed("bad method".into()))?
-                .params
-                .clone();
-            let mut v = Vec::with_capacity(params.len() + 1);
-            v.push(safe_ref(types, *base_ty)?);
-            v.extend(params);
-            v
+            out.push(safe_ref(types, *base_ty)?);
+            out.extend_from_slice(method_params(types, *method)?);
         }
-        Instr::RefEq { ty, .. } => vec![*ty, *ty],
-        Instr::InstanceOf { from, .. } => vec![*from],
-    })
+        Instr::RefEq { ty, .. } => out.extend([*ty, *ty]),
+        Instr::InstanceOf { from, .. } => out.push(*from),
+    }
+    Ok(())
+}
+
+fn method_params(types: &TypeTable, method: MethodRef) -> Result<&[TypeId], DecodeError> {
+    types
+        .method(method)
+        .map(|m| m.params.as_slice())
+        .ok_or_else(|| DecodeError::Malformed("bad method".into()))
 }
 
 /// Result plane of `instr`, independent of operands.

@@ -16,42 +16,160 @@ use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::types::{PrimKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
 
-/// Values visible on `plane` in block `d`, in register order: entry
+/// The paper's per-block register counters (§9), made concrete: for
+/// every block, the values on each plane in register order — entry
 /// pre-loads first (entry block only), then phis, then instruction
-/// results. `limit` restricts instruction results to indices `< k`
-/// (same-block uses and exception-edge visibility).
-pub fn visible(f: &Function, d: BlockId, plane: TypeId, limit: Option<usize>) -> Vec<ValueId> {
-    let mut out = Vec::new();
-    if d == ENTRY {
-        for i in 0..f.params.len() {
-            let v = ValueId(i as u32);
-            if f.value_ty(v) == plane {
-                out.push(v);
+/// results — each instruction result tagged with its position. A
+/// reference is then a dominator walk, one lookup of the
+/// `(block, plane)` run and, for same-block uses, a binary search for
+/// the instruction `limit`.
+#[derive(Debug, Default)]
+pub struct RegTable {
+    /// Every value of the function, grouped by block, then by plane.
+    regs: Vec<Reg>,
+    /// The `(plane, regs range)` runs of all blocks, block by block.
+    runs: Vec<Run>,
+    /// `runs[run_start[b]..run_start[b + 1]]` are block `b`'s runs.
+    run_start: Vec<u32>,
+    /// Each value's register number within its `(block, plane)` run.
+    reg_of: Vec<u32>,
+}
+
+/// Block `bi`'s registers in register order — entry pre-loads, phis,
+/// instruction results — each with its `after` tag (see [`Reg`]).
+fn block_regs(f: &Function, bi: usize) -> impl Iterator<Item = (ValueId, u32)> + '_ {
+    let entry = bi == ENTRY.index();
+    let params = if entry { f.params.len() as u32 } else { 0 };
+    let consts: &[ValueId] = if entry { &f.const_values } else { &[] };
+    let res = &f.results[bi];
+    (0..params)
+        .map(|i| (ValueId(i), 0))
+        .chain(consts.iter().map(|&v| (v, 0)))
+        .chain(res.phi_results.iter().map(|&v| (v, 0)))
+        .chain(
+            res.instr_results
+                .iter()
+                .enumerate()
+                .filter_map(|(k, v)| Some(((*v)?, k as u32 + 1))),
+        )
+}
+
+/// One register: a value and the instructions that must precede a use.
+#[derive(Debug, Clone, Copy)]
+struct Reg {
+    value: ValueId,
+    /// 0 for pre-loads and phis, `k + 1` for the result of instruction
+    /// `k`: the value is visible under `limit` iff `after <= limit`.
+    after: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    plane: TypeId,
+    start: u32,
+    end: u32,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(references resolved, table entries read)` on this thread:
+    /// the work gate's measure of what one reference costs.
+    pub(crate) static WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+#[cfg(test)]
+fn count_work(refs: u64, entries: u64) {
+    WORK.with(|w| {
+        let (r, e) = w.get();
+        w.set((r + refs, e + entries));
+    });
+}
+
+impl RegTable {
+    /// Builds the table of `f`, reusing this table's buffers.
+    pub fn rebuild(&mut self, f: &Function) {
+        self.regs.clear();
+        self.runs.clear();
+        self.run_start.clear();
+        self.reg_of.clear();
+        self.reg_of.resize(f.values.len(), 0);
+        self.run_start.push(0);
+        for bi in 0..f.block_count() {
+            // Count each plane's registers (runs in order of first
+            // appearance), then place every register in its run.
+            let first = self.runs.len();
+            for (v, _) in block_regs(f, bi) {
+                let plane = f.value_ty(v);
+                match self.runs[first..].iter_mut().find(|r| r.plane == plane) {
+                    Some(run) => run.end += 1,
+                    None => self.runs.push(Run {
+                        plane,
+                        start: 0,
+                        end: 1,
+                    }),
+                }
             }
+            let mut at = self.regs.len() as u32;
+            for run in &mut self.runs[first..] {
+                let len = run.end;
+                (run.start, run.end) = (at, at);
+                at += len;
+            }
+            self.regs.resize(
+                at as usize,
+                Reg {
+                    value: ValueId(0),
+                    after: 0,
+                },
+            );
+            for (value, after) in block_regs(f, bi) {
+                let plane = f.value_ty(value);
+                let run = self.runs[first..]
+                    .iter_mut()
+                    .find(|r| r.plane == plane)
+                    .expect("counted above");
+                self.reg_of[value.index()] = run.end - run.start;
+                self.regs[run.end as usize] = Reg { value, after };
+                run.end += 1;
+            }
+            self.run_start.push(self.runs.len() as u32);
         }
-        for i in 0..f.consts.len() {
-            let v = f.const_value(i);
-            if f.value_ty(v) == plane {
-                out.push(v);
+    }
+
+    /// The table of `f`.
+    pub fn build(f: &Function) -> RegTable {
+        let mut t = RegTable::default();
+        t.rebuild(f);
+        t
+    }
+
+    /// Values visible on `plane` in block `d`, in register order.
+    /// `limit` restricts instruction results to indices `< k`
+    /// (same-block uses and exception-edge visibility).
+    fn visible(&self, d: BlockId, plane: TypeId, limit: Option<usize>) -> &[Reg] {
+        let runs =
+            &self.runs[self.run_start[d.index()] as usize..self.run_start[d.index() + 1] as usize];
+        let Some(pos) = runs.iter().position(|r| r.plane == plane) else {
+            #[cfg(test)]
+            count_work(1, runs.len() as u64);
+            return &[];
+        };
+        let run = runs[pos];
+        let regs = &self.regs[run.start as usize..run.end as usize];
+        #[cfg(test)]
+        count_work(1, pos as u64 + 1);
+        match limit {
+            None => regs,
+            Some(k) => {
+                let n = regs.partition_point(|r| {
+                    #[cfg(test)]
+                    count_work(0, 1);
+                    r.after as usize <= k
+                });
+                &regs[..n]
             }
         }
     }
-    let block = f.block(d);
-    for k in 0..block.phis.len() {
-        let v = f.phi_result(d, k);
-        if f.value_ty(v) == plane {
-            out.push(v);
-        }
-    }
-    let n = limit.unwrap_or(block.instrs.len()).min(block.instrs.len());
-    for k in 0..n {
-        if let Some(v) = f.instr_result(d, k) {
-            if f.value_ty(v) == plane {
-                out.push(v);
-            }
-        }
-    }
-    out
 }
 
 /// Encodes a reference to `v` (on `plane`) made from block `b` with the
@@ -62,9 +180,11 @@ pub fn visible(f: &Function, d: BlockId, plane: TypeId, limit: Option<usize>) ->
 /// Returns [`EncodeError`] if `v` does not dominate the use or is not
 /// visible on `plane` — the properties the `(l, r)` coding cannot
 /// express, so the encoder refuses rather than emitting garbage.
+#[allow(clippy::too_many_arguments)]
 pub fn write_ref(
     w: &mut BitWriter,
     f: &Function,
+    table: &RegTable,
     dom: &DomTree,
     b: BlockId,
     limit: Option<usize>,
@@ -78,12 +198,12 @@ pub fn write_ref(
     let depth = dom.depth[b.index()];
     w.symbol(l, depth + 1);
     let lim = if l == 0 { limit } else { None };
-    let vis = visible(f, d, plane, lim);
-    let r = vis
-        .iter()
-        .position(|&x| x == v)
-        .ok_or(EncodeError::OperandNotVisible { value: v, block: b })?;
-    w.symbol(r as u32, vis.len() as u32);
+    let vis = table.visible(d, plane, lim);
+    let r = table.reg_of[v.index()];
+    if vis.get(r as usize).is_none_or(|x| x.value != v) {
+        return Err(EncodeError::OperandNotVisible { value: v, block: b });
+    }
+    w.symbol(r, vis.len() as u32);
     Ok(())
 }
 
@@ -95,7 +215,7 @@ pub fn write_ref(
 /// check.
 pub fn read_ref(
     r: &mut BitReader<'_>,
-    f: &Function,
+    table: &RegTable,
     dom: &DomTree,
     b: BlockId,
     limit: Option<usize>,
@@ -107,9 +227,9 @@ pub fn read_ref(
         .ancestor(b, l)
         .ok_or_else(|| DecodeError::Malformed("dominator walk fell off the tree".into()))?;
     let lim = if l == 0 { limit } else { None };
-    let vis = visible(f, d, plane, lim);
+    let vis = table.visible(d, plane, lim);
     let idx = r.symbol(vis.len() as u32)?;
-    Ok(vis[idx as usize])
+    Ok(vis[idx as usize].value)
 }
 
 const TYPE_TAGS: u32 = 5;
@@ -232,7 +352,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod visible_tests {
+mod table_tests {
     use super::*;
     use safetsa_core::function::Function;
     use safetsa_core::instr::Instr;
@@ -240,7 +360,7 @@ mod visible_tests {
     use safetsa_core::value::{Const, Literal};
 
     #[test]
-    fn visibility_order_and_limits() {
+    fn register_table_order_and_limits() {
         let mut types = TypeTable::new();
         let int = types.prim(PrimKind::Int);
         let dbl = types.prim(PrimKind::Double);
@@ -274,21 +394,20 @@ mod visible_tests {
             )
             .unwrap()
             .unwrap();
+        let table = RegTable::build(&f);
+        let visible = |plane, limit| {
+            let regs = table.visible(ENTRY, plane, limit);
+            regs.iter().map(|r| r.value).collect::<Vec<_>>()
+        };
         // Int plane, whole block: param0, const, r0, r1 (double param
         // is filtered out — type separation).
-        assert_eq!(
-            visible(&f, ENTRY, int, None),
-            vec![f.param_value(0), c, r0, r1]
-        );
+        assert_eq!(visible(int, None), vec![f.param_value(0), c, r0, r1]);
         // Limited to before instruction 1: r1 is not visible.
-        assert_eq!(
-            visible(&f, ENTRY, int, Some(1)),
-            vec![f.param_value(0), c, r0]
-        );
+        assert_eq!(visible(int, Some(1)), vec![f.param_value(0), c, r0]);
         // Double plane: only the double parameter.
-        assert_eq!(visible(&f, ENTRY, dbl, None), vec![f.param_value(1)]);
+        assert_eq!(visible(dbl, None), vec![f.param_value(1)]);
         // A plane with nothing on it.
         let bool_ty = types.bool_ty();
-        assert!(visible(&f, ENTRY, bool_ty, None).is_empty());
+        assert!(visible(bool_ty, None).is_empty());
     }
 }

@@ -14,7 +14,19 @@
 use crate::cst::Cst;
 use crate::function::{Function, ENTRY};
 use crate::value::BlockId;
+use std::cell::Cell;
 use std::fmt;
+
+thread_local! {
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of [`Cfg::build`] calls made on the current thread: a
+/// deterministic work counter, so tests can pin how often a consumer
+/// derives a function's CFG.
+pub fn builds_on_this_thread() -> u64 {
+    BUILDS.with(Cell::get)
+}
 
 /// How control reaches a block along one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,20 +128,9 @@ impl Cfg {
     ///
     /// Returns a [`CfgError`] if the CST is structurally malformed.
     pub fn build(f: &Function) -> Result<Cfg, CfgError> {
+        BUILDS.with(|c| c.set(c.get() + 1));
         let n = f.block_count();
-        let mut b = Builder {
-            f,
-            preds: vec![Vec::new(); n],
-            labels: Vec::new(),
-            loops: Vec::new(),
-            handlers: Vec::new(),
-            seen: vec![false; n],
-            traversal: Vec::new(),
-            first: true,
-            cond_uses: Vec::new(),
-            return_uses: Vec::new(),
-            throw_uses: Vec::new(),
-        };
+        let mut b = Builder::new(f, vec![Vec::new(); n], false);
         let final_frontier = b.walk(&f.body, Frontier::Start)?;
         let falls_through = !matches!(final_frontier, Frontier::Dead);
         let b2 = (b.cond_uses, b.return_uses, b.throw_uses);
@@ -166,6 +167,28 @@ impl Cfg {
             falls_through,
         })
     }
+
+    /// Re-derives `cond_uses`, `return_uses` and `throw_uses` from
+    /// `f`'s CST, keeping the graph. `f` must be the function this CFG
+    /// was built from with, at most, different CST value references: a
+    /// streaming decoder builds the CFG before those references arrive
+    /// and fills the use lists in afterwards, so the result equals
+    /// `Cfg::build(f)` without deriving the graph twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CfgError`] if the CST's structure is not the one the
+    /// CFG was built from.
+    pub fn refresh_uses(&mut self, f: &Function) -> Result<(), CfgError> {
+        let mut b = Builder::new(f, std::mem::take(&mut self.preds), true);
+        let walked = b.walk(&f.body, Frontier::Start);
+        self.preds = b.preds;
+        walked?;
+        self.cond_uses = b.cond_uses;
+        self.return_uses = b.return_uses;
+        self.throw_uses = b.throw_uses;
+        Ok(())
+    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -190,10 +213,34 @@ struct Builder<'a> {
     cond_uses: Vec<(BlockId, crate::value::ValueId)>,
     return_uses: Vec<(BlockId, Option<crate::value::ValueId>)>,
     throw_uses: Vec<(BlockId, crate::value::ValueId)>,
+    /// Replaying a built CFG: `preds` are final, and only the use lists
+    /// are collected.
+    replay: bool,
 }
 
 impl<'a> Builder<'a> {
+    fn new(f: &'a Function, preds: Vec<Vec<Edge>>, replay: bool) -> Builder<'a> {
+        let n = if replay { 0 } else { preds.len() };
+        Builder {
+            f,
+            preds,
+            labels: Vec::new(),
+            loops: Vec::new(),
+            handlers: Vec::new(),
+            seen: vec![false; n],
+            traversal: Vec::new(),
+            first: true,
+            cond_uses: Vec::new(),
+            return_uses: Vec::new(),
+            throw_uses: Vec::new(),
+            replay,
+        }
+    }
+
     fn check_block(&mut self, b: BlockId) -> Result<(), CfgError> {
+        if self.replay {
+            return Ok(());
+        }
         if b.index() >= self.preds.len() {
             return Err(CfgError::BadBlock(b));
         }
@@ -206,7 +253,9 @@ impl<'a> Builder<'a> {
     }
 
     fn edge(&mut self, from: BlockId, to: BlockId, kind: EdgeKind) {
-        self.preds[to.index()].push(Edge { from, kind });
+        if !self.replay {
+            self.preds[to.index()].push(Edge { from, kind });
+        }
     }
 
     /// Connects `frontier` to `to`; returns whether `to` is live.
@@ -229,6 +278,9 @@ impl<'a> Builder<'a> {
 
     /// Adds the exception edges of block `b` to the innermost handler.
     fn exception_edges(&mut self, b: BlockId) {
+        if self.replay {
+            return;
+        }
         if let Some(&h) = self.handlers.last() {
             let instrs = &self.f.block(b).instrs;
             for (k, i) in instrs.iter().enumerate() {

@@ -13,6 +13,17 @@
 use crate::cfg::Cfg;
 use crate::function::ENTRY;
 use crate::value::BlockId;
+use std::cell::Cell;
+
+thread_local! {
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of [`DomTree::build`] calls made on the current thread: a
+/// deterministic work counter, like [`crate::cfg::builds_on_this_thread`].
+pub fn builds_on_this_thread() -> u64 {
+    BUILDS.with(Cell::get)
+}
 
 /// A computed dominator tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +81,7 @@ impl DomTree {
     /// Computes the dominator tree of `cfg` with the iterative
     /// Cooper–Harvey–Kennedy algorithm.
     pub fn build(cfg: &Cfg) -> DomTree {
+        BUILDS.with(|c| c.set(c.get() + 1));
         let n = cfg.len();
         if n == 0 {
             return DomTree {

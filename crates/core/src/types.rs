@@ -10,8 +10,8 @@
 //! generated implicitly by the consumer and are therefore tamper-proof;
 //! only locally declared classes travel with the mobile program.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a type (= register plane) in a [`TypeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -188,7 +188,11 @@ pub struct MethodRef {
 /// The module-wide table of types (register planes) and classes.
 ///
 /// Construction interns structurally: requesting the same array /
-/// safe-ref / safe-index type twice yields the same [`TypeId`].
+/// safe-ref / safe-index type twice yields the same [`TypeId`]. The
+/// interning maps are indexed by the component's id, so a lookup is one
+/// index, and class records are shared: cloning a table (the consumer
+/// copies the host table once per module) copies no class metadata
+/// until a class is mutated.
 ///
 /// # Examples
 ///
@@ -205,29 +209,30 @@ pub struct MethodRef {
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
     kinds: Vec<TypeKind>,
-    classes: Vec<ClassInfo>,
-    prim_ids: HashMap<PrimKind, TypeId>,
-    class_ids: HashMap<ClassId, TypeId>,
-    array_ids: HashMap<TypeId, TypeId>,
-    safe_ref_ids: HashMap<TypeId, TypeId>,
-    safe_index_ids: HashMap<TypeId, TypeId>,
+    classes: Vec<Arc<ClassInfo>>,
+    /// `ref` plane per class, by [`ClassId`].
+    class_ids: Vec<TypeId>,
+    /// Per [`TypeId`]: its array, safe-ref and safe-index companions,
+    /// once interned.
+    derived: Vec<Derived>,
+}
+
+/// The interned companions of one type.
+#[derive(Debug, Clone, Copy, Default)]
+struct Derived {
+    array: Option<TypeId>,
+    safe_ref: Option<TypeId>,
+    safe_index: Option<TypeId>,
 }
 
 impl TypeTable {
     /// Creates a table pre-populated with the six primitive planes.
     pub fn new() -> Self {
-        let mut t = TypeTable {
-            kinds: Vec::new(),
-            classes: Vec::new(),
-            prim_ids: HashMap::new(),
-            class_ids: HashMap::new(),
-            array_ids: HashMap::new(),
-            safe_ref_ids: HashMap::new(),
-            safe_index_ids: HashMap::new(),
-        };
+        let mut t = TypeTable::default();
+        // The primitives take the first ids in `PrimKind::ALL` order,
+        // so `prim` is a cast.
         for &p in &PrimKind::ALL {
-            let id = t.push(TypeKind::Prim(p));
-            t.prim_ids.insert(p, id);
+            t.push(TypeKind::Prim(p));
         }
         t
     }
@@ -235,6 +240,7 @@ impl TypeTable {
     fn push(&mut self, kind: TypeKind) -> TypeId {
         let id = TypeId(self.kinds.len() as u32);
         self.kinds.push(kind);
+        self.derived.push(Derived::default());
         id
     }
 
@@ -264,7 +270,8 @@ impl TypeTable {
 
     /// The plane of primitive `p`.
     pub fn prim(&self, p: PrimKind) -> TypeId {
-        self.prim_ids[&p]
+        debug_assert!(!self.kinds.is_empty(), "table built without TypeTable::new");
+        TypeId(p as u32)
     }
 
     /// Shorthand for the `boolean` plane.
@@ -283,15 +290,15 @@ impl TypeTable {
     /// interned on first use.
     pub fn declare_class(&mut self, info: ClassInfo) -> (ClassId, TypeId) {
         let cid = ClassId(self.classes.len() as u32);
-        self.classes.push(info);
+        self.classes.push(Arc::new(info));
         let ty = self.push(TypeKind::Class(cid));
-        self.class_ids.insert(cid, ty);
+        self.class_ids.push(ty);
         (cid, ty)
     }
 
     /// The `ref` plane of class `c`.
     pub fn class_ty(&self, c: ClassId) -> TypeId {
-        self.class_ids[&c]
+        self.class_ids[c.index()]
     }
 
     /// The class metadata for `c`.
@@ -304,14 +311,15 @@ impl TypeTable {
     }
 
     /// Mutable class metadata (used while the front-end is populating
-    /// method bodies).
+    /// method bodies). A record still shared with a cloned table is
+    /// copied first.
     pub fn class_mut(&mut self, c: ClassId) -> &mut ClassInfo {
-        &mut self.classes[c.index()]
+        Arc::make_mut(&mut self.classes[c.index()])
     }
 
     /// The class metadata for `c`, or `None` if out of range.
     pub fn class_checked(&self, c: ClassId) -> Option<&ClassInfo> {
-        self.classes.get(c.index())
+        self.classes.get(c.index()).map(|c| &**c)
     }
 
     /// Number of declared classes.
@@ -324,16 +332,58 @@ impl TypeTable {
         self.classes
             .iter()
             .enumerate()
-            .map(|(i, c)| (ClassId(i as u32), c))
+            .map(|(i, c)| (ClassId(i as u32), &**c))
+    }
+
+    /// Every class, each after its superclass: the order in which
+    /// inherited metadata (dispatch tables, field layouts) is built
+    /// without recursion, so a deep hierarchy cannot exhaust the stack.
+    /// Linear in the number of classes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a class on a superclass cycle or whose superclass is out
+    /// of range.
+    pub fn superclass_order(&self) -> Result<Vec<ClassId>, ClassId> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            New,
+            OnPath,
+            Done,
+        }
+        let mut mark = vec![Mark::New; self.classes.len()];
+        let mut order = Vec::with_capacity(self.classes.len());
+        let mut path = Vec::new();
+        for i in 0..self.classes.len() {
+            // Climb to the first class already placed (or the root),
+            // then place the climbed path top-down.
+            let mut cur = Some(ClassId(i as u32));
+            while let Some(c) = cur {
+                match mark.get(c.index()) {
+                    Some(Mark::Done) => break,
+                    Some(Mark::New) => {}
+                    Some(Mark::OnPath) => return Err(c),
+                    None => return Err(*path.last().expect("class i is in range")),
+                }
+                mark[c.index()] = Mark::OnPath;
+                path.push(c);
+                cur = self.classes[c.index()].superclass;
+            }
+            for c in path.drain(..).rev() {
+                mark[c.index()] = Mark::Done;
+                order.push(c);
+            }
+        }
+        Ok(order)
     }
 
     /// Interns the array type with element type `elem`.
     pub fn array_of(&mut self, elem: TypeId) -> TypeId {
-        if let Some(&id) = self.array_ids.get(&elem) {
+        if let Some(id) = self.derived[elem.index()].array {
             return id;
         }
         let id = self.push(TypeKind::Array(elem));
-        self.array_ids.insert(elem, id);
+        self.derived[elem.index()].array = Some(id);
         id
     }
 
@@ -348,11 +398,11 @@ impl TypeTable {
             "safe-ref requires a reference type, got {:?}",
             self.kind(of)
         );
-        if let Some(&id) = self.safe_ref_ids.get(&of) {
+        if let Some(id) = self.derived[of.index()].safe_ref {
             return id;
         }
         let id = self.push(TypeKind::SafeRef(of));
-        self.safe_ref_ids.insert(of, id);
+        self.derived[of.index()].safe_ref = Some(id);
         id
     }
 
@@ -367,27 +417,27 @@ impl TypeTable {
             "safe-index requires an array type, got {:?}",
             self.kind(arr)
         );
-        if let Some(&id) = self.safe_index_ids.get(&arr) {
+        if let Some(id) = self.derived[arr.index()].safe_index {
             return id;
         }
         let id = self.push(TypeKind::SafeIndex(arr));
-        self.safe_index_ids.insert(arr, id);
+        self.derived[arr.index()].safe_index = Some(id);
         id
     }
 
     /// Looks up an already-interned safe-ref plane without creating it.
     pub fn find_safe_ref(&self, of: TypeId) -> Option<TypeId> {
-        self.safe_ref_ids.get(&of).copied()
+        self.derived.get(of.index())?.safe_ref
     }
 
     /// Looks up an already-interned array plane without creating it.
     pub fn find_array(&self, elem: TypeId) -> Option<TypeId> {
-        self.array_ids.get(&elem).copied()
+        self.derived.get(elem.index())?.array
     }
 
     /// Looks up an already-interned safe-index plane without creating it.
     pub fn find_safe_index(&self, arr: TypeId) -> Option<TypeId> {
-        self.safe_index_ids.get(&arr).copied()
+        self.derived.get(arr.index())?.safe_index
     }
 
     /// Whether `ty` is a primitive plane.
@@ -593,6 +643,34 @@ mod tests {
         assert!(t.is_subclass(b, a));
         assert!(t.is_subclass(a, obj));
         assert!(!t.is_subclass(a, b));
+    }
+
+    #[test]
+    fn superclass_order_puts_parents_first_and_rejects_cycles() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let decl = |t: &mut TypeTable, sup| {
+            t.declare_class(ClassInfo {
+                name: "C".into(),
+                superclass: sup,
+                fields: vec![],
+                methods: vec![],
+                imported: false,
+            })
+            .0
+        };
+        // c1 extends c2 extends obj: a subclass declared first.
+        let c1 = decl(&mut t, None);
+        let c2 = decl(&mut t, Some(obj));
+        t.class_mut(c1).superclass = Some(c2);
+        let order = t.superclass_order().unwrap();
+        let at = |c: ClassId| order.iter().position(|&x| x == c).unwrap();
+        assert_eq!(order.len(), 3);
+        assert!(at(obj) < at(c2) && at(c2) < at(c1));
+        t.class_mut(c2).superclass = Some(c1);
+        assert!(t.superclass_order().is_err());
+        t.class_mut(c2).superclass = Some(ClassId(99));
+        assert_eq!(t.superclass_order(), Err(c2));
     }
 
     #[test]

@@ -173,6 +173,14 @@ pub struct VerifyStats {
     pub operands: usize,
 }
 
+impl VerifyStats {
+    fn add(&mut self, s: VerifyStats) {
+        self.instrs += s.instrs;
+        self.phis += s.phis;
+        self.operands += s.operands;
+    }
+}
+
 /// Position of a definition within its block, for intra-block ordering.
 fn def_pos(def: Def) -> (u8, u32) {
     match def {
@@ -463,6 +471,27 @@ pub fn verify_function(
     throwable_root: crate::types::ClassId,
     f: &Function,
 ) -> Result<VerifyStats, VerifyError> {
+    let cfg = Cfg::build(f)?;
+    let dom = DomTree::build(&cfg);
+    verify_function_with(types, throwable_root, f, &cfg, &dom)
+}
+
+/// [`verify_function`] against a CFG and dominator tree the caller
+/// already derived from `f` (a decoder needs both before it can read
+/// a single operand). Deriving the graph is pure: the same CST always
+/// gives the same CFG, so reusing it skips work, not a check — every
+/// property of the function is still checked here against it.
+///
+/// # Errors
+///
+/// Returns the first [`VerifyError`] encountered.
+pub fn verify_function_with(
+    types: &TypeTable,
+    throwable_root: crate::types::ClassId,
+    f: &Function,
+    cfg: &Cfg,
+    dom: &DomTree,
+) -> Result<VerifyStats, VerifyError> {
     // Parameters and constants must be on valid planes.
     for p in &f.params {
         if types.kind_checked(*p).is_none() {
@@ -491,13 +520,11 @@ pub fn verify_function(
             });
         }
     }
-    let cfg = Cfg::build(f)?;
-    let dom = DomTree::build(&cfg);
     let mut checker = Checker {
         types,
         f,
-        cfg: &cfg,
-        dom: &dom,
+        cfg,
+        dom,
         stats: VerifyStats::default(),
     };
     checker.check_blocks()?;
@@ -511,7 +538,46 @@ pub fn verify_function(
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify_module(m: &Module) -> Result<VerifyStats, VerifyError> {
-    // Class metadata sanity.
+    verify_classes(m)?;
+    let mut total = VerifyStats::default();
+    for f in &m.functions {
+        total.add(verify_function(&m.types, m.well_known.throwable, f)?);
+    }
+    Ok(total)
+}
+
+/// [`verify_module`] against one CFG and dominator tree per function,
+/// in `m.functions` order, derived by the caller (see
+/// [`verify_function_with`]).
+///
+/// # Errors
+///
+/// Returns the first [`VerifyError`] encountered.
+///
+/// # Panics
+///
+/// Panics if `graphs` does not hold one entry per function.
+pub fn verify_module_with(
+    m: &Module,
+    graphs: &[(Cfg, DomTree)],
+) -> Result<VerifyStats, VerifyError> {
+    assert_eq!(graphs.len(), m.functions.len(), "one CFG per function");
+    verify_classes(m)?;
+    let mut total = VerifyStats::default();
+    for (f, (cfg, dom)) in m.functions.iter().zip(graphs) {
+        total.add(verify_function_with(
+            &m.types,
+            m.well_known.throwable,
+            f,
+            cfg,
+            dom,
+        )?);
+    }
+    Ok(total)
+}
+
+/// Class metadata sanity.
+fn verify_classes(m: &Module) -> Result<(), VerifyError> {
     for (_, class) in m.types.classes() {
         for field in &class.fields {
             if m.types.kind_checked(field.ty).is_none() {
@@ -540,14 +606,7 @@ pub fn verify_module(m: &Module) -> Result<VerifyStats, VerifyError> {
             }
         }
     }
-    let mut total = VerifyStats::default();
-    for f in &m.functions {
-        let s = verify_function(&m.types, m.well_known.throwable, f)?;
-        total.instrs += s.instrs;
-        total.phis += s.phis;
-        total.operands += s.operands;
-    }
-    Ok(total)
+    Ok(())
 }
 
 #[cfg(test)]

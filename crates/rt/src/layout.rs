@@ -28,25 +28,31 @@ pub struct Layout {
 
 impl Layout {
     /// Computes the layout for `shapes` (indices must be closed under
-    /// `superclass`).
+    /// `superclass` and acyclic). Iterative and linear: each class
+    /// climbs only to the nearest superclass already laid out, so a
+    /// deep hierarchy cannot exhaust the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a superclass cycle.
     pub fn build(shapes: &[ClassShape]) -> Layout {
         let n = shapes.len();
         let mut base = vec![usize::MAX; n];
         let mut total = vec![usize::MAX; n];
-        fn fill(i: usize, shapes: &[ClassShape], base: &mut [usize], total: &mut [usize]) -> usize {
-            if total[i] != usize::MAX {
-                return total[i];
-            }
-            let b = match shapes[i].superclass {
-                Some(s) => fill(s, shapes, base, total),
-                None => 0,
-            };
-            base[i] = b;
-            total[i] = b + shapes[i].instance_fields;
-            total[i]
-        }
+        let mut chain = Vec::new();
         for i in 0..n {
-            fill(i, shapes, &mut base, &mut total);
+            let mut cur = Some(i);
+            while let Some(c) = cur.filter(|&c| total[c] == usize::MAX) {
+                assert!(chain.len() < n, "superclass cycle through class {c}");
+                chain.push(c);
+                cur = shapes[c].superclass;
+            }
+            let mut b = cur.map_or(0, |c| total[c]);
+            for c in chain.drain(..).rev() {
+                base[c] = b;
+                b += shapes[c].instance_fields;
+                total[c] = b;
+            }
         }
         Layout { base, total }
     }

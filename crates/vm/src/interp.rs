@@ -327,6 +327,11 @@ impl<'m> Vm<'m> {
             oom: find("OutOfMemoryError")?,
             stack_overflow: find("StackOverflowError")?,
         };
+        // Every class after its superclass: cycles are refused here,
+        // before any walk up a superclass chain.
+        let order = types
+            .superclass_order()
+            .map_err(|c| VmError::Load(format!("superclass cycle through class {}", c.0)))?;
         // Layout.
         let shapes: Vec<ClassShape> = (0..n)
             .map(|i| {
@@ -340,56 +345,37 @@ impl<'m> Vm<'m> {
             .collect();
         let layout = Layout::build(&shapes);
         let statics = Statics::build(&shapes);
-        // Vtables: parents before children via recursion.
-        let mut vtables: Vec<Option<Vec<(ClassId, u32)>>> = vec![None; n];
-        fn build_vtable(
-            i: usize,
-            types: &safetsa_core::TypeTable,
-            vtables: &mut Vec<Option<Vec<(ClassId, u32)>>>,
-        ) -> Vec<(ClassId, u32)> {
-            if let Some(v) = &vtables[i] {
-                return v.clone();
-            }
-            let c = types.class(ClassId(i as u32));
-            let mut table = match c.superclass {
-                Some(s) => build_vtable(s.index(), types, vtables),
-                None => Vec::new(),
+        // Vtables and flattened field defaults, each class built from
+        // its superclass's (no recursion: a verified module may still
+        // declare a very deep hierarchy).
+        let mut vtables: Vec<Vec<(ClassId, u32)>> = vec![Vec::new(); n];
+        let mut field_defaults: Vec<Vec<Value>> = vec![Vec::new(); n];
+        for &c in &order {
+            let info = types.class(c);
+            let (mut table, mut flat) = match info.superclass {
+                Some(s) => (
+                    vtables[s.index()].clone(),
+                    field_defaults[s.index()].clone(),
+                ),
+                None => (Vec::new(), Vec::new()),
             };
-            for (mi, m) in c.methods.iter().enumerate() {
+            for (mi, m) in info.methods.iter().enumerate() {
                 if let Some(slot) = m.vtable_slot {
                     let slot = slot as usize;
                     if table.len() <= slot {
-                        table.resize(slot + 1, (ClassId(i as u32), mi as u32));
+                        table.resize(slot + 1, (c, mi as u32));
                     }
-                    table[slot] = (ClassId(i as u32), mi as u32);
+                    table[slot] = (c, mi as u32);
                 }
             }
-            vtables[i] = Some(table.clone());
-            table
-        }
-        for i in 0..n {
-            build_vtable(i, types, &mut vtables);
-        }
-        let vtables: Vec<Vec<(ClassId, u32)>> =
-            vtables.into_iter().map(|v| v.expect("built")).collect();
-        // Flattened field defaults.
-        let mut field_defaults = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut flat: Vec<Value> = Vec::new();
-            let mut chain = Vec::new();
-            let mut cur = Some(ClassId(i as u32));
-            while let Some(c) = cur {
-                chain.push(c);
-                cur = types.class(c).superclass;
-            }
-            for c in chain.into_iter().rev() {
-                for f in &types.class(c).fields {
-                    if !f.is_static {
-                        flat.push(default_value(types, f.ty));
-                    }
-                }
-            }
-            field_defaults.push(flat);
+            flat.extend(
+                info.fields
+                    .iter()
+                    .filter(|f| !f.is_static)
+                    .map(|f| default_value(types, f.ty)),
+            );
+            vtables[c.index()] = table;
+            field_defaults[c.index()] = flat;
         }
         let mut vm = Vm {
             module,
